@@ -21,9 +21,6 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for 'random' coefficient sources that do "
                           "not carry their own")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker pool width across verifications "
-                          "(STRINGYKIT_JOBS is honored when unset)")
     sub.add_argument("--output", default=None,
                      help="write the JSON result to this path instead of "
                           "stdout")
@@ -77,8 +74,6 @@ def _load_job(args, verify_override=None, timings=False):
         job.max_degree = args.max_degree
     if args.n_cap is not None:
         job.n_cap = args.n_cap
-    if args.jobs:
-        job.jobs = args.jobs
     if args.output is not None:
         job.output = args.output
     job.timings = timings

@@ -1,6 +1,5 @@
 """Connection data on the hatted interior quotients: multiplication-style
-expansion matrices, their commutation, and the exact flatness identity
-checked with dual-number scalars.
+expansion matrices, their commutation, and the exact flatness identity.
 
 For a face sigma and a base point g0, the basis is a fixed set of
 interior monomials whose hat-classes span the quotient; the matrix A_n
@@ -9,25 +8,19 @@ structure equations dPhi_c/dg(n) = Phi_{c+n} of the degree-zero
 hypergeometric system dualize to the curvature identity
     d/dg(n) A_{n'} - d/dg(n') A_n = [A_{n'}, A_n],
 which reduces to plain derivative symmetry whenever the matrices
-commute.  Derivatives are exact: one coordinate of g is perturbed by
-eps with eps^2 = 0 and the whole reduction pipeline runs over Q[eps].
+commute.  Derivatives are exact rationals taken from the reduction
+itself (``HatModel.row_derivatives``), never from the identity they are
+checked against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dualnum import DualRational
 from .errors import DegenerateCoefficients, TruncationTooSmall
-from .jacobian import (CoefficientFunction, HatModel, face_is_nondegenerate,
-                       is_nondegenerate, r1, r1_hat)
+from .jacobian import (HatModel, _delta_in_face, certified_hat_model,
+                       face_is_nondegenerate, is_nondegenerate, r1)
 from .lattice import dot, dual_face, faces, padd
-from .linalg import Echelon
-
-
-def _delta_in(face, g):
-    normals = face.cone.facet_normals
-    return [n for n in g.domain()
-            if all(dot(n, normals[j]) == 0 for j in face.active)]
+from .linalg import Echelon, vec_add
 
 
 def _certify_face(face, g):
@@ -39,51 +32,104 @@ def _certify_face(face, g):
                 % sub.dim)
 
 
+def _transpose(cols):
+    return [list(row) for row in zip(*cols)]
+
+
 class _QuotientBasis:
     """Hat-quotient of one face with coordinates in a fixed monomial
-    basis, generic over the scalar ring carried by the g values."""
+    basis; by default every interior monomial with a new class."""
 
-    def __init__(self, face, g, D, basis_points=None):
-        self.face = face
-        self.g = g
-        self.D = D
-        try:
-            self.model = HatModel(face, g, D)
-            if basis_points is None:
-                data = self.model.interior_level_data()
-                basis_points = [p for _, level in data for p, _ in level]
-            self.basis_points = list(basis_points)
-            self._coords = Echelon()
-            for i, p in enumerate(self.basis_points):
-                rem = self.model.class_reduce({p: Fraction(1)})
-                if not rem or self._coords.insert(
-                        dict(rem), {i: Fraction(1)}) is None:
-                    raise DegenerateCoefficients(
-                        "selected monomials do not stay a basis")
-        except ValueError as exc:
-            # no unit pivot: the value part of the scalars degenerated
-            raise DegenerateCoefficients(str(exc)) from exc
+    def __init__(self, model, basis_points=None):
+        self.model = model
+        if basis_points is None:
+            data = model.interior_level_data()
+            basis_points = [p for _, level in data for p, _ in level]
+        self.basis_points = list(basis_points)
+        self._matrices = {}
+        self._coords = Echelon()
+        for i, p in enumerate(self.basis_points):
+            rem = model.class_reduce({p: Fraction(1)})
+            if not rem or self._coords.insert(
+                    dict(rem), {i: Fraction(1)}) is None:
+                raise DegenerateCoefficients(
+                    "selected monomials do not stay a basis")
 
-    def expand(self, point):
-        """Coordinates of the class of one monomial in the basis."""
-        rem = self.model.class_reduce({point: Fraction(1)})
-        red, sh = self._coords.reduce(rem, {})
+    def _coordinates(self, vec):
+        red, sh = self._coords.reduce(vec, {})
         if red:
             raise TruncationTooSmall(
                 "class not expressible inside the truncation window")
         return [-sh.get(i, Fraction(0))
                 for i in range(len(self.basis_points))]
 
+    def expand(self, point):
+        """Coordinates of the class of one monomial in the basis."""
+        return self._coordinates(
+            self.model.class_reduce({point: Fraction(1)}))
+
+    def _columns(self, n):
+        """Coordinates of basis[i] + n, one list per basis monomial."""
+        cols = []
+        for c in self.basis_points:
+            if dot(padd(c, n), self.model.lam) > self.model.D:
+                raise TruncationTooSmall(
+                    "basis monomial plus n leaves the truncation window")
+            cols.append(self.expand(padd(c, n)))
+        return cols
+
+    def matrix(self, n):
+        """A_n (computed once per quotient)."""
+        if n not in self._matrices:
+            self._matrices[n] = _transpose(self._columns(n))
+        return self._matrices[n]
+
+    def derivatives(self, directions):
+        """A_n, keyed n, and d/dg(n) A_{n'}, keyed (n, n'), for n and n'
+        in directions.
+
+        With rem_t the class of monomial t and rem_{c+n'} = sum_i a_i
+        rem_{b_i}, the derivative of the coordinates a is the coordinate
+        vector of d rem_{c+n'} - sum_i a_i d rem_{b_i}.
+        """
+        rows = self.model.row_derivatives(directions)
+
+        def d_class(t, n):
+            # the class of t is t - row_t at a pivot t, else t itself
+            return {q: -v for (m, q), v in rows.get(t, {}).items() if m == n}
+
+        value = {n: self.matrix(n) for n in directions}
+        cols = {n: _transpose(value[n]) for n in directions}
+        deriv = {}
+        for n in directions:
+            d_basis = [d_class(b, n) for b in self.basis_points]
+            for n2 in directions:
+                d_cols = []
+                for c, a in zip(self.basis_points, cols[n2]):
+                    vec = d_class(padd(c, n2), n)
+                    for a_i, d_b in zip(a, d_basis):
+                        if a_i:
+                            vec = vec_add(vec, d_b, -a_i)
+                    d_cols.append(self._coordinates(vec))
+                deriv[(n, n2)] = _transpose(d_cols)
+        return value, deriv
+
+
+def _quotient(sigma, g0, D=None, basis_points=None):
+    """The block's quotient basis: certified, with the basis chosen
+    here, unless the caller supplies the basis."""
+    if D is None:
+        D = sigma.dim + 2
+    if basis_points is not None:
+        return _QuotientBasis(HatModel(sigma, g0, D), basis_points)
+    _certify_face(sigma, g0)
+    return _QuotientBasis(certified_hat_model(sigma, g0, D))
+
 
 def basis_select(sigma, g0, D=None):
     """Interior monomials whose classes form a basis, chosen greedily in
     (degree, lex) order; the choice is independent of g near g0."""
-    _certify_face(sigma, g0)
-    if D is None:
-        D = sigma.dim + 2
-    r1_hat(sigma, g0, D)   # certifies stabilization against the oracle
-    qb = _QuotientBasis(sigma, g0, D)
-    return list(qb.basis_points)
+    return list(_quotient(sigma, g0, D).basis_points)
 
 
 @dataclass
@@ -93,20 +139,10 @@ class ConnectionData:
     g0: object
     basis: tuple
     matrices: dict           # n -> matrix as list of rows
+    quotient: object = field(default=None, compare=False, repr=False)
 
     def dim(self):
         return len(self.basis)
-
-
-def _matrix_from(qb, n):
-    cols = []
-    for c in qb.basis_points:
-        if dot(padd(c, n), qb.g.lam) > qb.D:
-            raise TruncationTooSmall(
-                "basis monomial plus n leaves the truncation window")
-        cols.append(qb.expand(padd(c, n)))
-    k = len(qb.basis_points)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
 def multiplication_matrix(cd, n):
@@ -116,33 +152,20 @@ def multiplication_matrix(cd, n):
     return cd.matrices[n]
 
 
+def _connection(qb):
+    sigma, g0 = qb.model.face, qb.model.g
+    mats = {n: qb.matrix(n) for n in _delta_in_face(sigma, g0)}
+    return ConnectionData(sigma=sigma, g0=g0, basis=tuple(qb.basis_points),
+                          matrices=mats, quotient=qb)
+
+
 def connection_data(sigma, g0, D=None, basis_points=None):
     """Build the full matrix family over the face's degree-one points."""
-    if D is None:
-        D = sigma.dim + 2
-    if basis_points is None:
-        basis_points = basis_select(sigma, g0, D)
-    qb = _QuotientBasis(sigma, g0, D, basis_points)
-    mats = {}
-    for n in _delta_in(sigma, g0):
-        mats[n] = _matrix_from(qb, n)
-    return ConnectionData(sigma=sigma, g0=g0, basis=tuple(basis_points),
-                          matrices=mats)
+    return _connection(_quotient(sigma, g0, D, basis_points))
 
 
-def _dual_g(g0, direction):
-    """g0 with the chosen coordinate replaced by value + eps."""
-    values = []
-    for p, v in g0.values:
-        if p == direction:
-            values.append((p, DualRational.variable(v)))
-        else:
-            values.append((p, DualRational(v)))
-    return CoefficientFunction(g0.cone, g0.lam, tuple(values))
-
-
-def _mat_ops(a, b, combine):
-    return [[combine(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def _mat_mul(a, b):
@@ -151,58 +174,32 @@ def _mat_mul(a, b):
             for i in range(k)]
 
 
-def matrices_commute(a, b):
-    return _mat_mul(a, b) == _mat_mul(b, a)
-
-
-def _value_deriv(mat):
-    val = [[x.value if isinstance(x, DualRational) else Fraction(x)
-            for x in row] for row in mat]
-    der = [[x.deriv if isinstance(x, DualRational) else Fraction(0)
-            for x in row] for row in mat]
-    return val, der
+def _commutator(a, b):
+    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
 
 
 def flatness_check(sigma, g0, n, nprime, D=None, basis_points=None):
     """Exact curvature identity at the base point:
     d/dg(n) A_{n'} - d/dg(n') A_n = [A_{n'}, A_n]."""
-    if D is None:
-        D = sigma.dim + 2
-    if basis_points is None:
-        basis_points = basis_select(sigma, g0, D)
-    qb_n = _QuotientBasis(sigma, _dual_g(g0, n), D, basis_points)
-    a_np_at_n = _matrix_from(qb_n, nprime)     # A_{n'} over Q[eps], d/dg(n)
-    qb_np = _QuotientBasis(sigma, _dual_g(g0, nprime), D, basis_points)
-    a_n_at_np = _matrix_from(qb_np, n)         # A_n over Q[eps], d/dg(n')
-    a_np, d_n_a_np = _value_deriv(a_np_at_n)
-    a_n, d_np_a_n = _value_deriv(a_n_at_np)
-    lhs = _mat_ops(d_n_a_np, d_np_a_n, lambda x, y: x - y)
-    rhs = _mat_ops(_mat_mul(a_np, a_n), _mat_mul(a_n, a_np),
-                   lambda x, y: x - y)
-    return lhs == rhs
+    qb = _quotient(sigma, g0, D, basis_points)
+    value, deriv = qb.derivatives([n, nprime])
+    return (_mat_sub(deriv[(n, nprime)], deriv[(nprime, n)])
+            == _commutator(value[nprime], value[n]))
 
 
-def curvature_report(sigma, g0, D=None, basis_points=None):
+def curvature_report(sigma, g0, D=None, basis_points=None, connection=None):
     """Flatness sweep over every ordered pair of parameter directions on
-    one face, reusing a single dual-number build per direction.
+    one face, from one rational build of its hat quotient; a
+    ``connection`` from connection_data lends the build it already made.
 
     Returns the exact outcome of the curvature identity together with
     the (generally false) plain derivative symmetry and commutativity,
-    reported for the record.
+    reported for the record, and the matrices and derivatives checked.
     """
-    if D is None:
-        D = sigma.dim + 2
-    if basis_points is None:
-        basis_points = basis_select(sigma, g0, D)
-    directions = _delta_in(sigma, g0)
-    value = {}
-    deriv = {}
-    for n in directions:
-        qb = _QuotientBasis(sigma, _dual_g(g0, n), D, basis_points)
-        for nprime in directions:
-            val, der = _value_deriv(_matrix_from(qb, nprime))
-            value[nprime] = val
-            deriv[(n, nprime)] = der
+    qb = (connection.quotient if connection is not None
+          else _quotient(sigma, g0, D, basis_points))
+    directions = _delta_in_face(sigma, g0)
+    value, deriv = qb.derivatives(directions)
     flat = True
     symmetric = True
     commuting = True
@@ -210,20 +207,17 @@ def curvature_report(sigma, g0, D=None, basis_points=None):
     for i, n in enumerate(directions):
         for nprime in directions[i:]:
             pairs += 1
-            lhs = _mat_ops(deriv[(n, nprime)], deriv[(nprime, n)],
-                           lambda x, y: x - y)
-            rhs = _mat_ops(_mat_mul(value[nprime], value[n]),
-                           _mat_mul(value[n], value[nprime]),
-                           lambda x, y: x - y)
-            if lhs != rhs:
+            bracket = _commutator(value[nprime], value[n])
+            if _mat_sub(deriv[(n, nprime)], deriv[(nprime, n)]) != bracket:
                 flat = False
             if deriv[(n, nprime)] != deriv[(nprime, n)]:
                 symmetric = False
-            if not matrices_commute(value[n], value[nprime]):
+            if any(any(row) for row in bracket):
                 commuting = False
     return {"flat": flat, "pairs_checked": pairs,
             "derivative_symmetry": symmetric, "commuting": commuting,
-            "dim": len(basis_points)}
+            "dim": len(qb.basis_points), "matrices": value,
+            "derivatives": deriv}
 
 
 def connection_on_hb(pair, f, g0):
@@ -241,7 +235,9 @@ def connection_on_hb(pair, f, g0):
         sigma = dual_face(pair, theta)
         if sigma.key() in blocks:
             continue
-        if not r1_hat(sigma, g0).total():
-            continue
-        blocks[sigma.key()] = connection_data(sigma, g0)
+        # g0 is certified on every face above, so only stabilization is
+        # left to check
+        qb = _QuotientBasis(certified_hat_model(sigma, g0))
+        if qb.basis_points:
+            blocks[sigma.key()] = _connection(qb)
     return [blocks[k] for k in sorted(blocks)]

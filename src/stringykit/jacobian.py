@@ -288,8 +288,7 @@ class HatModel:
 
     Spans mu.[c] over all points c of level <= D-1 and all basis
     functionals mu; class_reduce gives canonical coset representatives
-    inside the span of points of level <= D.  Generic over the scalar
-    ring (rationals or dual rationals) through the g values.
+    inside the span of points of level <= D.
     """
 
     def __init__(self, face, g, D):
@@ -302,20 +301,67 @@ class HatModel:
             pts.extend(points_at_degree(face, k, self.lam))
         self.points = pts
         self.ideal = Echelon()
-        if face.dim > 0:
-            for k in range(D):
-                for c in points_at_degree(face, k, self.lam):
-                    for j in range(face.dim):
-                        mu = tuple(1 if i == j else 0
-                                   for i in range(face.dim))
-                        vec = _hat_action_vec(face, g, mu,
-                                              {c: Fraction(1)})
-                        if vec:
-                            self.ideal.insert(vec)
+        # (c, j, mu_j.[c], its new pivot or None), in build order
+        self.generators = []
+        if face.dim == 0:
+            return
+        for k in range(D):
+            for c in points_at_degree(face, k, self.lam):
+                for j in range(face.dim):
+                    mu = tuple(1 if i == j else 0 for i in range(face.dim))
+                    vec = _hat_action_vec(face, g, mu, {c: Fraction(1)})
+                    pivot = self.ideal.insert(vec) if vec else None
+                    self.generators.append((c, j, vec, pivot))
 
     def class_reduce(self, vec):
         rem, _ = self.ideal.reduce(vec)
         return rem
+
+    def row_derivatives(self, directions):
+        """d/dg(n) of every reduced ideal row, for each n in directions.
+
+        The generators are affine in g: d/dg(n) mu_j.[c] is mu_j(n)[c+n]
+        for n on the face and 0 otherwise.  A second pass replays the
+        build (same generators, same order, same pivots), each generator
+        carrying the class of its derivative as shadow.  A row
+        sum_k y_k L_k then carries sum_k y_k class(dL_k), which is its
+        derivative: the derivative of a row vanishes on the pivot
+        columns, where the class map is the identity.  Returns
+        {pivot: {(n, q): value}} over non-pivot monomials q.
+
+        A generator that is dependent at g while the class of its
+        derivative is not zero means the rank of the ideal jumps at g:
+        there is no derivative, and DegenerateCoefficients is raised.
+        """
+        on_face = set(_delta_in_face(self.face, self.g))
+        coords = {n: span_coords(self.face, n)
+                  for n in directions if n in on_face}
+        # per functional mu_j: the directions n with mu_j(n) != 0
+        terms = [[(n, mu_n[j]) for n, mu_n in coords.items() if mu_n[j]]
+                 for j in range(self.face.dim)]
+        classes = {}    # (n, c) -> class of [c+n], keyed (n, q)
+        ech = Echelon()
+        for c, j, vec, pivot in self.generators:
+            shadow = {}
+            for n, a in terms[j]:
+                cls = classes.get((n, c))
+                if cls is None:
+                    rem = self.class_reduce({padd(c, n): Fraction(1)})
+                    cls = {(n, q): v for q, v in rem.items()}
+                    classes[(n, c)] = cls
+                if a == 1:
+                    shadow.update(cls)
+                else:
+                    for key, v in cls.items():
+                        shadow[key] = a * v
+            if pivot is not None:
+                ech.insert(vec, shadow)
+                continue
+            _, sh = ech.reduce(vec, shadow)
+            if sh:
+                raise DegenerateCoefficients(
+                    "the hat ideal changes rank at the base point")
+        return ech.shadows
 
     def interior_level_data(self):
         """Per level: interior monomials and their surviving classes."""
@@ -335,9 +381,9 @@ class HatModel:
         return out
 
 
-def r1_hat(face, g, D=None):
-    """Filtered interior image in the hat module, certified against the
-    graded computation (per filtration level) at two truncations."""
+def certified_hat_model(face, g, D=None):
+    """The HatModel at truncation D, certified against the graded
+    computation (per filtration level) at truncations D and D-1."""
     if D is None:
         D = face.dim + 2
     if D < face.dim + 2:
@@ -352,7 +398,13 @@ def r1_hat(face, g, D=None):
                 "hat dims %r at truncation %d do not match graded dims %r"
                 % (level_dims, trunc, oracle))
         models[trunc] = model
-    data = models[D].interior_level_data()
+    return models[D]
+
+
+def r1_hat(face, g, D=None):
+    """Filtered interior image in the hat module, certified at two
+    truncations."""
+    data = certified_hat_model(face, g, D).interior_level_data()
     dims = tuple((k, len(v)) for k, v in data)
     reps = tuple((k, tuple(rem for _, rem in v)) for k, v in data)
     return R1Space(dims, reps)

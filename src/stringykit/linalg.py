@@ -1,36 +1,20 @@
-"""Exact sparse linear algebra over the rationals and over Q[eps]/(eps^2).
+"""Exact sparse linear algebra over the rationals.
 
-Vectors are dicts mapping column index to a nonzero scalar.  Two engines:
+Vectors are dicts mapping column index to a nonzero rational (``int`` or
+``Fraction``).  Two engines:
 
 * ``exact_rank`` -- fraction-free integer elimination with a cheap
   Markowitz-style pivot rule; the hot path for the big Koszul rank jobs.
-* ``Echelon`` -- an insertion echelon in reduced form with unit pivots,
-  generic over the scalar ring.  Deterministic (smallest unit column wins),
-  so every basis derived from it is canonical.  Supports a parallel
-  "shadow" vector, which gives kernel tracking and coordinate extraction.
+* ``Echelon`` -- an insertion echelon in reduced form with pivots
+  normalized to one.  Deterministic (smallest column wins), so every
+  basis derived from it is canonical.  Supports a parallel "shadow"
+  vector, which gives kernel tracking, coordinate extraction and the
+  derivative bookkeeping of the hat-module connection.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
-
-
-def is_unit(x):
-    """True if x is invertible (nonzero value part for dual numbers)."""
-    u = getattr(x, "is_unit", None)
-    if u is not None:
-        return u
-    return bool(x)
-
-
-def inverse(x):
-    """Multiplicative inverse staying inside the exact scalar ring."""
-    inv = getattr(x, "inverse", None)
-    if inv is not None:
-        return inv()
-    if isinstance(x, Fraction):
-        return 1 / x
-    return Fraction(1, x)
 
 
 def vec_add(a, b, coeff=1):
@@ -102,18 +86,13 @@ class Echelon:
     def insert(self, vec, shadow=None):
         """Insert a vector; returns the new pivot column or None if dependent.
 
-        Pivot choice: the smallest column whose entry is a unit.  Over the
-        rationals every nonzero entry qualifies; over dual numbers a vector
-        whose remainder has only nilpotent entries raises ValueError.
+        Pivot choice: the smallest column of the remainder.
         """
         rem, sh = self.reduce(vec, shadow)
         if not rem:
             return None
-        units = [c for c, v in rem.items() if is_unit(v)]
-        if not units:
-            raise ValueError("no unit pivot available (nilpotent remainder)")
-        c = min(units)
-        inv = inverse(rem[c])
+        c = min(rem)
+        inv = Fraction(1) / rem[c]   # 1 / int would be a float
         row = {j: inv * v for j, v in rem.items()}
         srow = {j: inv * v for j, v in sh.items()} if sh is not None else {}
         # back-substitute to keep the basis reduced

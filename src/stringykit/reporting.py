@@ -8,9 +8,7 @@ determinism.
 """
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +56,6 @@ class JobSpec:
     n_cap: int = 8
     verify: tuple = VERIFICATION_NAMES
     output: str = None
-    jobs: int = 1
     timings: bool = False
 
     def echo(self):
@@ -291,8 +288,7 @@ def _verify_flatness(pair, f, g, job):
             out.append({"face_dim": block.sigma.dim, "dim": block.dim(),
                         "parameters": 0, "flat": True})
             continue
-        rep = curvature_report(block.sigma, g,
-                               basis_points=list(block.basis))
+        rep = curvature_report(block.sigma, g, connection=block)
         if not rep["flat"]:
             verdict = "fail"
         out.append({
@@ -337,18 +333,6 @@ _VERIFIERS = {
 }
 
 
-def _job_width(job):
-    if job.jobs and job.jobs > 1:
-        return job.jobs
-    env = os.environ.get("STRINGYKIT_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
 def run(job):
     """Execute a job; returns (report dict, exit code)."""
     try:
@@ -368,22 +352,10 @@ def run(job):
     results = {}
     timings = {}
 
-    def task(name):
+    for name in names:
         t0 = time.monotonic()
-        out = _VERIFIERS[name](pair, f, g, job)
-        return name, out, time.monotonic() - t0
-
-    width = _job_width(job)
-    if width > 1:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            for name, out, dt in pool.map(task, names):
-                results[name] = out
-                timings[name] = dt
-    else:
-        for name in names:
-            name, out, dt = task(name)
-            results[name] = out
-            timings[name] = dt
+        results[name] = _VERIFIERS[name](pair, f, g, job)
+        timings[name] = time.monotonic() - t0
 
     verdicts = [results[n]["verdict"] for n in names]
     if any(v == "fail" for v in verdicts):

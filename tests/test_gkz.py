@@ -1,16 +1,17 @@
-"""Connection matrices, dual-number derivatives, exact flatness."""
+"""Connection matrices, their exact derivatives, exact flatness."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
 
-from stringykit.dualnum import DualRational
 from stringykit.errors import DegenerateCoefficients
 from stringykit.gkz import (basis_select, connection_data, connection_on_hb,
                             curvature_report, flatness_check,
                             multiplication_matrix, _QuotientBasis)
-from stringykit.jacobian import (coefficient_function, r1_hat,
+from stringykit.jacobian import (HatModel, coefficient_function, r1_hat,
                                  random_coefficients)
 from stringykit.koszul import hb_assemble
 from stringykit.lattice import (cone_over_polytope, make_gorenstein_pair)
@@ -26,28 +27,18 @@ def p2_pair():
     return make_gorenstein_pair(cone_over_polytope(P2))
 
 
-def test_dual_rational_ring_axioms():
-    a = DualRational(Fraction(3, 2), Fraction(1))
-    b = DualRational(Fraction(-2), Fraction(5))
-    assert (a * b).value == -3
-    assert (a * b).deriv == a.value * b.deriv + a.deriv * b.value
-    assert (a / b) * b == a
-    eps = DualRational(0, 1)
-    assert eps * eps == DualRational(0, 0)
-    with pytest.raises(ZeroDivisionError):
-        (a / eps)
+def frozen_connection(name):
+    """Top-block A_n' and d/dg(n) A_n' frozen from the former Q[eps]
+    path (one dual-number hat-quotient build per direction n)."""
+    doc = json.loads((Path(__file__).parent
+                      / "connection_oracle.json").read_text())[name]
 
-
-def test_dual_rational_against_sympy_oracle():
-    # product/quotient rule on a random rational expression tree
-    x = sympy.Symbol("x")
-    expr = (3 * x ** 2 - Fraction(1, 2)) / (x + 5) + x * (x - 2) * (x + 7)
-    x0 = Fraction(4, 3)
-    want = sympy.Rational(sympy.diff(expr, x).subs(x, sympy.Rational(4, 3)))
-
-    xd = DualRational.variable(x0)
-    got = (3 * xd * xd - Fraction(1, 2)) / (xd + 5) + xd * (xd - 2) * (xd + 7)
-    assert got.deriv == Fraction(int(want.p), int(want.q))
+    def mat(rows):
+        return [[Fraction(x) for x in row] for row in rows]
+    value = {tuple(m["n"]): mat(m["matrix"]) for m in doc["matrices"]}
+    deriv = {(tuple(m["n"]), tuple(m["nprime"])): mat(m["matrix"])
+             for m in doc["derivatives"]}
+    return doc["g_seed"], value, deriv
 
 
 def test_basis_select_zero_face():
@@ -78,7 +69,7 @@ def test_basis_survives_perturbation():
     vals[first] = vals[first] + Fraction(1, 7)
     g2 = coefficient_function(pair, "g", vals)
     # re-certify: the same monomials still give a basis at the new point
-    qb = _QuotientBasis(sigma, g2, sigma.dim + 2, basis)
+    qb = _QuotientBasis(HatModel(sigma, g2, sigma.dim + 2), basis)
     assert len(qb.basis_points) == 2
 
 
@@ -94,6 +85,21 @@ def test_segment_matrices_frozen_oracle():
     assert multiplication_matrix(cd, (0, 1)) == [[Fraction(1, 3)]]
     assert multiplication_matrix(cd, (1, 1)) == [[Fraction(-2, 3)]]
     assert multiplication_matrix(cd, (-1, 1)) == [[Fraction(-2, 3)]]
+    # and their derivatives, differentiated symbolically, in all three
+    # directions: the derivatives come from the reduction, not from the
+    # curvature identity
+    gm, g0, gp = sympy.symbols("gm g0 gp")
+    disc = g0 ** 2 - 4 * gm * gp
+    closed = {(0, 1): -g0 / disc, (1, 1): 2 * gm / disc,
+              (-1, 1): 2 * gp / disc}
+    symbol = {(-1, 1): gm, (0, 1): g0, (1, 1): gp}
+    deriv = curvature_report(sigma, g)["derivatives"]
+    at = {gm: 1, g0: 1, gp: 1}
+    for n, var in symbol.items():
+        for nprime, expr in closed.items():
+            want = sympy.Rational(sympy.diff(expr, var).subs(at))
+            assert deriv[(n, nprime)] == [[Fraction(int(want.p),
+                                                    int(want.q))]]
 
 
 def test_segment_matrices_second_point_differ():
@@ -114,12 +120,15 @@ def test_segment_flatness_and_symmetry():
     # 1x1 blocks commute trivially, so here plain derivative symmetry
     # is equivalent to the curvature identity and must hold
     pair = segment_pair()
-    g = random_coefficients(pair, "g", seed=3)
+    seed, value, deriv = frozen_connection("segment")
+    g = random_coefficients(pair, "g", seed=seed)
     sigma = pair.dual_poset().top
     rep = curvature_report(sigma, g)
     assert rep["flat"]
     assert rep["derivative_symmetry"]
     assert rep["commuting"]
+    assert rep["matrices"] == value
+    assert rep["derivatives"] == deriv
 
 
 def test_flatness_check_equal_directions():
@@ -132,11 +141,15 @@ def test_flatness_check_equal_directions():
 
 def test_p2_curvature_identity_exact():
     pair = p2_pair()
-    g = random_coefficients(pair, "g", seed=2)
+    seed, value, deriv = frozen_connection("p2")
+    g = random_coefficients(pair, "g", seed=seed)
     sigma = pair.dual_poset().top
     rep = curvature_report(sigma, g)
     assert rep["flat"]
     assert rep["dim"] == 2
+    # entry by entry against the frozen Q[eps] derivatives
+    assert rep["matrices"] == value
+    assert rep["derivatives"] == deriv
     # the 2x2 block genuinely fails commutativity, hence also plain
     # derivative symmetry: the curvature identity is the right statement
     assert not rep["commuting"]

@@ -3,7 +3,6 @@
 from fractions import Fraction
 from random import Random
 
-from stringykit.dualnum import DualRational
 from stringykit.lattice import hnf_rows, integer_kernel
 from stringykit.linalg import (Echelon, SparseBasis, exact_rank,
                                kernel_basis, rref_basis, solve_exact)
@@ -51,6 +50,17 @@ def test_echelon_reduce_canonical():
     assert rem == {}
     rem, _ = ech.reduce({2: Fraction(3)})
     assert rem == {2: Fraction(3)}
+    # int entries: inverting a pivot must never produce a float
+    ech = Echelon()
+    ech.insert({0: 2, 1: 3}, {"a": 1})
+    ech.insert({1: 7, 2: 5}, {"b": 2})
+    scalars = [v for store in (ech.rows, ech.shadows)
+               for vec in store.values() for v in vec.values()]
+    assert all(isinstance(v, (int, Fraction)) for v in scalars)
+    assert ech.rows == {0: {0: 1, 2: Fraction(-15, 14)},
+                        1: {1: 1, 2: Fraction(5, 7)}}
+    assert ech.shadows == {0: {"a": Fraction(1, 2), "b": Fraction(-3, 7)},
+                           1: {"b": Fraction(2, 7)}}
 
 
 def test_echelon_shadow_tracks_combination():
@@ -116,15 +126,3 @@ def test_hnf_canonical():
     assert hnf_rows([(0, 1), (1, 0)]) == hnf_rows([(1, 0), (0, 1)])
     assert hnf_rows([(2, 0), (0, 1), (2, 1)]) == ((2, 0), (0, 1))
 
-
-def test_echelon_over_dual_rationals():
-    ech = Echelon()
-    a = DualRational(Fraction(1), Fraction(2))
-    b = DualRational(Fraction(3), Fraction(0))
-    ech.insert({0: a, 1: b})
-    rem, _ = ech.reduce({0: a, 1: b})
-    assert not rem
-    # nilpotent-only remainder is not reducible and not insertable
-    eps = DualRational(0, 1)
-    rem, _ = ech.reduce({1: eps})
-    assert rem

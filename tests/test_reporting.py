@@ -176,27 +176,6 @@ def test_corrupted_expectation_detected():
     assert json.loads(corrupted) != json.loads(text)
 
 
-def test_jobs_flag_same_report():
-    job_seq = load_job("segment.json", jobs=1)
-    job_par = load_job("segment.json", jobs=4)
-    r_seq, c_seq = run(job_seq)
-    r_par, c_par = run(job_par)
-    assert c_seq == c_par == 0
-    assert render_report(r_seq) == render_report(r_par)
-
-
-def test_stringykit_jobs_env_honored():
-    env = dict(os.environ)
-    env["STRINGYKIT_JOBS"] = "3"
-    proc = subprocess.run(
-        [sys.executable, "-m", "stringykit.cli", "verify", "thm-key",
-         "corpus/segment.json"],
-        capture_output=True, text=True, env=env, cwd=str(CORPUS.parent))
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["verifications"]["thm-key"]["verdict"] == "pass"
-
-
 def test_cli_cohomology_dhat():
     proc = _cli("cohomology", "--differential", "dhat",
                 "corpus/segment.json")
