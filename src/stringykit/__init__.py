@@ -10,8 +10,8 @@ desk-scale examples, entirely in rational arithmetic.
 from .gkz import (basis_select, connection_data, connection_on_hb,
                   curvature_report, flatness_check, multiplication_matrix)
 from .gpoly import g_polynomial, ih_dims, verify_degree_bounds
-from .jacobian import (CoefficientFunction, coefficient_function, hat_action,
-                       is_nondegenerate, log_derivative_elements,
+from .jacobian import (CoefficientFunction, Context, coefficient_function,
+                       hat_action, is_nondegenerate, log_derivative_elements,
                        quotient_dims, r1, r1_hat, random_coefficients)
 from .koszul import (cohomology_d, cohomology_dhat, cohomology_ha, d_matrix,
                      decomposition_dims, dhat_matrix, hb_assemble, v_basis)
@@ -25,7 +25,7 @@ from .sheaves import (FanSpace, build_w, koszul_differential_on_w,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientFunction", "Cone", "Face", "FacePoset", "FanSpace",
+    "CoefficientFunction", "Cone", "Context", "Face", "FacePoset", "FanSpace",
     "GorensteinPair", "basis_select", "build_w", "coefficient_function",
     "cohomology_d", "cohomology_dhat", "cohomology_ha", "cone_from_rays",
     "cone_over_polytope", "connection_data", "connection_on_hb",

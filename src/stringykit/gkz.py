@@ -11,22 +11,26 @@ which reduces to plain derivative symmetry whenever the matrices
 commute.  Derivatives are exact rationals taken from the reduction
 itself (``HatModel.row_derivatives``), never from the identity they are
 checked against.
+
+Every block is read from a certified hat model; ``connection_on_hb``
+takes them, with R1 and the certificates of f and g, from its ``ctx``
+(a ``jacobian.Context``), so a job builds each one once.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateCoefficients, TruncationTooSmall
-from .jacobian import (HatModel, _delta_in_face, certified_hat_model,
-                       face_is_nondegenerate, is_nondegenerate, r1)
+from .jacobian import (Context, HatModel, _delta_in_face,
+                       face_is_nondegenerate)
 from .lattice import dot, dual_face, faces, padd
 from .linalg import Echelon, vec_add
 
 
-def _certify_face(face, g):
+def _certify_face(face, g, ctx):
     poset = faces(face.cone)
     for sub in poset:
-        if poset.leq(sub, face) and not face_is_nondegenerate(sub, g):
+        if poset.leq(sub, face) and not face_is_nondegenerate(sub, g, ctx):
             raise DegenerateCoefficients(
                 "coefficients degenerate on a face of dimension %d"
                 % sub.dim)
@@ -122,8 +126,9 @@ def _quotient(sigma, g0, D=None, basis_points=None):
         D = sigma.dim + 2
     if basis_points is not None:
         return _QuotientBasis(HatModel(sigma, g0, D), basis_points)
-    _certify_face(sigma, g0)
-    return _QuotientBasis(certified_hat_model(sigma, g0, D))
+    ctx = Context()
+    _certify_face(sigma, g0, ctx)
+    return _QuotientBasis(ctx.certified_hat_model(sigma, g0, D))
 
 
 def basis_select(sigma, g0, D=None):
@@ -220,24 +225,22 @@ def curvature_report(sigma, g0, D=None, basis_points=None, connection=None):
             "derivatives": deriv}
 
 
-def connection_on_hb(pair, f, g0):
+def connection_on_hb(pair, f, g0, ctx=None):
     """One block of connection data per face theta* carrying a nonzero
     hatted summand; parameters g(v) with v outside the face do not enter
     the block's matrices at all."""
-    if not is_nondegenerate(pair, f):
-        raise DegenerateCoefficients("f fails the nondegeneracy certificate")
-    if not is_nondegenerate(pair, g0):
-        raise DegenerateCoefficients("g fails the nondegeneracy certificate")
+    ctx = Context(pair) if ctx is None else ctx
+    ctx.certify(f, g0)
     blocks = {}
     for theta in pair.poset():
-        if not r1(theta, f).total():
+        if not ctx.r1(theta, f).total():
             continue
         sigma = dual_face(pair, theta)
         if sigma.key() in blocks:
             continue
         # g0 is certified on every face above, so only stabilization is
         # left to check
-        qb = _QuotientBasis(certified_hat_model(sigma, g0))
+        qb = _QuotientBasis(ctx.certified_hat_model(sigma, g0))
         if qb.basis_points:
             blocks[sigma.key()] = _connection(qb)
     return [blocks[k] for k in sorted(blocks)]

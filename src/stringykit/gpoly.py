@@ -90,30 +90,22 @@ def _interval_is_eulerian(poset, bottom, top):
     return True
 
 
-_g_cache = {}
-
-
 def g_polynomial(poset, bottom, top):
     """Stanley g-polynomial of the interval [bottom, top].
 
     Raises NotEulerian if any subinterval fails the even/odd count test.
     """
-    key = (id(poset), bottom.key(), top.key())
-    cached = _g_cache.get(key)
-    if cached is not None:
-        return cached
     if not poset.leq(bottom, top):
         raise ValueError("not an interval: bottom is not below top")
     if not _interval_is_eulerian(poset, bottom, top):
         raise NotEulerian("interval fails the Eulerian test")
-    g = _g_recursion(poset, bottom, top)
-    _g_cache[key] = g
-    return g
+    return _g_recursion(poset, bottom, top, {})
 
 
-def _g_recursion(poset, bottom, top):
-    key = (id(poset), bottom.key(), top.key())
-    cached = _g_cache.get(key)
+def _g_recursion(poset, bottom, top, memo):
+    """g of [bottom, top]; memo holds g of [bottom, x] keyed by x.key()
+    for one call tree, so nothing outlives the poset it came from."""
+    cached = memo.get(top.key())
     if cached is not None:
         return cached
     d = top.dim - bottom.dim - 1
@@ -124,7 +116,7 @@ def _g_recursion(poset, bottom, top):
         for x in poset.interval(bottom, top):
             if x is top:
                 continue
-            gx = _g_recursion(poset, bottom, x)
+            gx = _g_recursion(poset, bottom, x, memo)
             h = h + gx * _t_minus_1_power(d - (x.dim - bottom.dim))
         # Dehn-Sommerville h_i = h_{d-i} holds on Eulerian intervals
         if any(h[i] != h[d - i] for i in range(d + 1)):
@@ -133,7 +125,7 @@ def _g_recursion(poset, bottom, top):
         for i in range(1, d // 2 + 1):
             out[i] = h[i] - h[i - 1]
         g = IntPolynomial(out)
-    _g_cache[key] = g
+    memo[top.key()] = g
     return g
 
 
@@ -145,10 +137,11 @@ def h_polynomial(poset, bottom, top):
     if not _interval_is_eulerian(poset, bottom, top):
         raise NotEulerian("interval fails the Eulerian test")
     h = IntPolynomial()
+    memo = {}
     for x in poset.interval(bottom, top):
         if x is top:
             continue
-        h = h + _g_recursion(poset, bottom, x) * \
+        h = h + _g_recursion(poset, bottom, x, memo) * \
             _t_minus_1_power(d - (x.dim - bottom.dim))
     return h
 

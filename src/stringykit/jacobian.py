@@ -4,6 +4,11 @@ and the filtered hat-module variant with its stabilization certificate.
 Ring elements are sparse dicts keyed by lattice points.  All quotients
 are handled degree by degree through echelon bases, so dimensions and
 canonical representatives come out of the same computation.
+
+A ``Context`` holds one job's per-face objects (graded quotients, R1
+spaces, certified hat models, certificates), so each is built once per
+job.  Every function that reads them takes an optional ``ctx``; without
+one it builds a throwaway context and does the same work.
 """
 
 import random
@@ -65,12 +70,14 @@ def coefficient_function(pair, side, mapping):
                                tuple(sorted(mapping.items())))
 
 
-def random_coefficients(pair, side, seed, certify=True):
+def random_coefficients(pair, side, seed, certify=True, ctx=None):
     """Seeded small nonzero integer coefficients, certified nondegenerate.
 
     Resamples (deterministically) on certificate failure, up to
-    MAX_RESAMPLE attempts.
+    MAX_RESAMPLE attempts.  With a context, the quotients built for the
+    certificate are the ones later calls on that context read.
     """
+    ctx = Context(pair) if ctx is None else ctx
     # string seeding is hashed with sha512, stable across processes
     rng = random.Random("stringykit:%s:%s" % (side, seed))
     delta = pair.delta() if side == "f" else pair.delta_dual()
@@ -82,7 +89,7 @@ def random_coefficients(pair, side, seed, certify=True):
                 v = rng.randint(-5, 5)
             mapping[p] = Fraction(v)
         f = coefficient_function(pair, side, mapping)
-        if not certify or is_nondegenerate(pair, f):
+        if not certify or ctx.is_nondegenerate(f):
             return f
     raise DegenerateCoefficients(
         "no nondegenerate sample found in %d draws" % MAX_RESAMPLE)
@@ -146,14 +153,14 @@ class GradedQuotient:
         return rem
 
 
-def quotient_dims(face, f, D=None):
+def quotient_dims(face, f, D=None, ctx=None):
     """Graded quotient of the face's semigroup ring by the log-derivative
     ideal; D defaults to dim(face) + 2."""
     if D is None:
         D = face.dim + 2
     if D < face.dim + 2:
         raise ValueError("need D >= dim + 2")
-    return GradedQuotient(face, f, D)
+    return (Context() if ctx is None else ctx).quotient(face, f, D)
 
 
 @dataclass(frozen=True)
@@ -169,12 +176,12 @@ class R1Space:
         return sum(d for _, d in self.dims)
 
 
-def r1(face, f, D=None):
+def r1(face, f, D=None, ctx=None):
     """Image of the interior part in the quotient, degree by degree."""
     if face.dim == 0:
         zero = (0,) * face.cone.ambient_rank
         return R1Space(dims=((0, 1),), reps=((0, ({zero: Fraction(1)},)),))
-    q = quotient_dims(face, f, D)
+    q = quotient_dims(face, f, D, ctx)
     img = Echelon()
     dims = []
     reps = []
@@ -211,22 +218,24 @@ def _hilbert_numerator(face, lam, upto):
     return out
 
 
-def face_is_nondegenerate(face, f):
+def face_is_nondegenerate(face, f, ctx=None):
     """Artinian certificate on one face: the quotient vanishes in degrees
-    dim+1 and dim+2 and matches the Hilbert numerator through degree dim."""
+    dim+1 and dim+2 and matches the Hilbert numerator through degree dim.
+    It reads the same quotient as r1(face, f)."""
     d = face.dim
-    q = quotient_dims(face, f, d + 2)
+    q = quotient_dims(face, f, d + 2, ctx)
     if q.dims[d + 1] != 0 or q.dims[d + 2] != 0:
         return False
     numer = _hilbert_numerator(face, f.lam, d)
     return all(q.dims[k] == numer[k] for k in range(d + 1))
 
 
-def is_nondegenerate(pair, f):
+def is_nondegenerate(pair, f, ctx=None):
     """Nondegeneracy of a coefficient function: every face of its cone
     passes the Artinian/Hilbert-series certificate."""
+    ctx = Context(pair) if ctx is None else ctx
     poset = faces(f.cone)
-    return all(face_is_nondegenerate(face, f) for face in poset)
+    return all(face_is_nondegenerate(face, f, ctx) for face in poset)
 
 
 @dataclass(frozen=True)
@@ -246,19 +255,24 @@ class HatModuleElement:
         return cls(face, ((tuple(point), Fraction(value)),))
 
 
-def _hat_action_vec(face, g, mu, vec):
+def _hat_weights(face, g, mus):
+    """Per functional mu: [(n, g(n) mu(n))] over the face's degree-one
+    points n, the per-face part of the hat action."""
+    pts = [(n, g(n), span_coords(face, n)) for n in _delta_in_face(face, g)]
+    return [[(n, gn * sum(m * x for m, x in zip(mu, cn)))
+             for n, gn, cn in pts] for mu in mus]
+
+
+def _hat_action_vec(face, weights, mu, vec):
     """mu . vec for the deformed module structure, as sparse dicts.
 
     mu [c] = sum over n in the face's degree-one points of
-    g(n) mu(n) [n+c]  +  mu(c) [c].
+    g(n) mu(n) [n+c]  +  mu(c) [c], with weights = _hat_weights of mu.
     """
-    pts = _delta_in_face(face, g)
-    mu_of = {n: sum(m * c for m, c in zip(mu, span_coords(face, n)))
-             for n in pts}
     out = {}
     for c, v in vec.items():
-        for n in pts:
-            w = g(n) * mu_of[n] * v
+        for n, gmu in weights:
+            w = gmu * v
             if w:
                 key = padd(n, c)
                 nv = out.get(key, 0) + w
@@ -279,7 +293,9 @@ def _hat_action_vec(face, g, mu, vec):
 def hat_action(face, g, mu, v):
     """Action of the linear functional mu (coordinates in the span basis)
     on a hat-module element."""
-    vec = _hat_action_vec(face, g, tuple(mu), v.mapping())
+    mu = tuple(mu)
+    vec = _hat_action_vec(face, _hat_weights(face, g, [mu])[0], mu,
+                          v.mapping())
     return HatModuleElement(face, tuple(sorted(vec.items())))
 
 
@@ -303,13 +319,17 @@ class HatModel:
         self.ideal = Echelon()
         # (c, j, mu_j.[c], its new pivot or None), in build order
         self.generators = []
+        self._level_data = None
         if face.dim == 0:
             return
+        mus = [tuple(1 if i == j else 0 for i in range(face.dim))
+               for j in range(face.dim)]
+        weights = _hat_weights(face, g, mus)
         for k in range(D):
             for c in points_at_degree(face, k, self.lam):
-                for j in range(face.dim):
-                    mu = tuple(1 if i == j else 0 for i in range(face.dim))
-                    vec = _hat_action_vec(face, g, mu, {c: Fraction(1)})
+                for j, mu in enumerate(mus):
+                    vec = _hat_action_vec(face, weights[j], mu,
+                                          {c: Fraction(1)})
                     pivot = self.ideal.insert(vec) if vec else None
                     self.generators.append((c, j, vec, pivot))
 
@@ -364,7 +384,13 @@ class HatModel:
         return ech.shadows
 
     def interior_level_data(self):
-        """Per level: interior monomials and their surviving classes."""
+        """Per level: interior monomials and their surviving classes.
+        Computed once per model, which does not change after its build."""
+        if self._level_data is None:
+            self._level_data = self._scan_levels()
+        return self._level_data
+
+    def _scan_levels(self):
         img = Echelon()
         out = []
         if self.face.dim == 0:
@@ -381,14 +407,14 @@ class HatModel:
         return out
 
 
-def certified_hat_model(face, g, D=None):
+def certified_hat_model(face, g, D=None, ctx=None):
     """The HatModel at truncation D, certified against the graded
     computation (per filtration level) at truncations D and D-1."""
     if D is None:
         D = face.dim + 2
     if D < face.dim + 2:
         raise ValueError("need D >= dim + 2")
-    oracle = r1(face, g).dims_dict()
+    oracle = (Context() if ctx is None else ctx).r1(face, g).dims_dict()
     models = {}
     for trunc in (D, D - 1):
         model = HatModel(face, g, trunc)
@@ -401,10 +427,75 @@ def certified_hat_model(face, g, D=None):
     return models[D]
 
 
-def r1_hat(face, g, D=None):
+def r1_hat(face, g, D=None, ctx=None):
     """Filtered interior image in the hat module, certified at two
     truncations."""
-    data = certified_hat_model(face, g, D).interior_level_data()
+    ctx = Context() if ctx is None else ctx
+    data = ctx.certified_hat_model(face, g, D).interior_level_data()
     dims = tuple((k, len(v)) for k, v in data)
     reps = tuple((k, tuple(rem for _, rem in v)) for k, v in data)
     return R1Space(dims, reps)
+
+
+class Context:
+    """One job's state: the pair, its coefficient functions f and g, and
+    a memo of per-face objects keyed by (face, coefficient function, D).
+
+    ``r1``, ``r1_hat``, ``certified_hat_model`` and ``is_nondegenerate``
+    return what the module-level function of the same name returns for
+    this context, calling it on the first request only.  A call that
+    raises stores nothing, so it raises again on every request.  A
+    quotient stays only while a later call can read it: r1 is its last
+    reader, and a function that fails the certificate is never read
+    again.  The memo dies with the context.
+    """
+
+    def __init__(self, pair=None):
+        self.pair = pair
+        self.f = self.g = None      # set once built and certified here
+        self._memo = {}
+
+    def _get(self, key, build):
+        got = self._memo.get(key)
+        if got is None:
+            got = build()
+            self._memo[key] = got
+        return got
+
+    def quotient(self, face, f, D):
+        """The GradedQuotient of the face at truncation D."""
+        return self._get(("quotient", face, f, D),
+                         lambda: GradedQuotient(face, f, D))
+
+    def r1(self, face, f, D=None):
+        D = face.dim + 2 if D is None else D
+        got = self._get(("r1", face, f, D), lambda: r1(face, f, D, self))
+        self._memo.pop(("quotient", face, f, D), None)
+        return got
+
+    def certified_hat_model(self, face, g, D=None):
+        D = face.dim + 2 if D is None else D
+        return self._get(("hat", face, g, D),
+                         lambda: certified_hat_model(face, g, D, self))
+
+    def r1_hat(self, face, g, D=None):
+        D = face.dim + 2 if D is None else D
+        return self._get(("r1_hat", face, g, D),
+                         lambda: r1_hat(face, g, D, self))
+
+    def is_nondegenerate(self, fn):
+        ok = self._get(("nondegenerate", fn),
+                       lambda: is_nondegenerate(self.pair, fn, self))
+        if not ok:
+            for key in [k for k in self._memo
+                        if k[0] == "quotient" and k[2] == fn]:
+                del self._memo[key]
+        return ok
+
+    def certify(self, f, g):
+        """Raise DegenerateCoefficients unless f and g pass the
+        nondegeneracy certificate."""
+        for label, fn in (("f", f), ("g", g)):
+            if not self.is_nondegenerate(fn):
+                raise DegenerateCoefficients(
+                    "%s fails the nondegeneracy certificate" % label)

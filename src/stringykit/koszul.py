@@ -13,13 +13,18 @@ computed invariant is: kernel of the EXACT differential among vectors
 supported below the cap, modulo exact boundaries of vectors supported
 one step lower.  Stabilization over consecutive caps plus the
 R1/R1-hat assembly oracle certify the result.
+
+Each entry point certifies f and g through its ``ctx`` (a
+``jacobian.Context``), which does so once per job; the assemblies read
+R1 and R1-hat from the same context.  Without a context, one is built
+for the call.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateCoefficients, InfinitePiece
-from .jacobian import is_nondegenerate, r1, r1_hat
+from .errors import InfinitePiece
+from .jacobian import Context
 from .lattice import dot, dual_face, padd, points_at_degree
 from .linalg import exact_rank
 
@@ -157,13 +162,6 @@ def dhat_matrix(pair, f, g, grading_value, p):
     return basis, [dhat_column(pair, f, g, e, drop_from=p) for e in basis]
 
 
-def _certify(pair, f, g):
-    if not is_nondegenerate(pair, f):
-        raise DegenerateCoefficients("f fails the nondegeneracy certificate")
-    if not is_nondegenerate(pair, g):
-        raise DegenerateCoefficients("g fails the nondegeneracy certificate")
-
-
 def _split_rank(columns):
     """Rank of a block-diagonal matrix split by a conserved column label."""
     buckets = {}
@@ -189,9 +187,9 @@ class CohomologyReport:
     flags: dict
 
 
-def cohomology_d(pair, f, g, D=6):
+def cohomology_d(pair, f, g, D=6, ctx=None):
     """Cohomology of (V, d) in gradings 0..D-1 by exact sparse ranks."""
-    _certify(pair, f, g)
+    (Context(pair) if ctx is None else ctx).certify(f, g)
     basis = v_basis(pair, "d", D)
     vdims = {k: len(basis[k]) for k in range(D + 1)}
     ranks = {}
@@ -211,16 +209,17 @@ def cohomology_d(pair, f, g, D=6):
                             euler_ok=(lhs == rhs), flags={})
 
 
-def decomposition_dims(pair, f, g):
+def decomposition_dims(pair, f, g, ctx=None):
     """Face-by-face convolution of R1 dims: the decomposition side of the
     plain double Koszul cohomology."""
-    _certify(pair, f, g)
+    ctx = Context(pair) if ctx is None else ctx
+    ctx.certify(f, g)
     per_face = []
     total = {}
     for theta in pair.poset():
         sigma = dual_face(pair, theta)
-        rf = r1(theta, f).dims_dict()
-        rg = r1(sigma, g).dims_dict()
+        rf = ctx.r1(theta, f).dims_dict()
+        rg = ctx.r1(sigma, g).dims_dict()
         conv = {}
         for i, di in rf.items():
             for j, dj in rg.items():
@@ -243,7 +242,7 @@ def _hat_rank(pair, f, g, basis_cache, gv, cap):
     return _split_rank(cols)
 
 
-def cohomology_dhat(pair, f, g, D=6, p_max=8):
+def cohomology_dhat(pair, f, g, D=6, p_max=8, ctx=None):
     """Stabilized d_hat cohomology dims per hat-grading <= D.
 
     For the cap c, the computed number is
@@ -252,7 +251,7 @@ def cohomology_dhat(pair, f, g, D=6, p_max=8):
     A grading is stabilized when two consecutive caps agree; the report
     flags gradings that never stabilize (not fatal, per-grading).
     """
-    _certify(pair, f, g)
+    (Context(pair) if ctx is None else ctx).certify(f, g)
     basis_memo = {}
 
     def basis_at(gv, cap):
@@ -315,19 +314,20 @@ def cohomology_ha(pair, f, g, D=None, p_max=8):
     return cohomology_dhat(swapped, g, f, D=D, p_max=p_max)
 
 
-def hb_assemble(pair, f, g):
+def hb_assemble(pair, f, g, ctx=None):
     """Assembly of the deformed cohomology from faces: each graded piece
     R1(f, theta)_i tensor R1hat(g, theta*) lands in grading
     2 i + dim theta*."""
-    _certify(pair, f, g)
+    ctx = Context(pair) if ctx is None else ctx
+    ctx.certify(f, g)
     per_face = []
     total = {}
     for theta in pair.poset():
         sigma = dual_face(pair, theta)
-        rf = r1(theta, f).dims_dict()
+        rf = ctx.r1(theta, f).dims_dict()
         if not rf:
             continue
-        hat_total = r1_hat(sigma, g).total()
+        hat_total = ctx.r1_hat(sigma, g).total()
         if not hat_total:
             continue
         conv = {}

@@ -5,6 +5,10 @@ byte-identical output.  Rationals travel as strings, dimension tables as
 {grading: dim} objects tagged with their certification window; wall
 clock timings are added only on request since they would break report
 determinism.
+
+A job runs in one ``jacobian.Context``: it certifies f and g and holds
+every per-face quotient, R1 space and certified hat model, so the
+verifiers share them and none is built twice.
 """
 
 import json
@@ -15,8 +19,8 @@ from fractions import Fraction
 from .errors import (DegenerateCoefficients, ParseError, StringyKitError,
                      ValidationError)
 from .gkz import connection_on_hb, curvature_report
-from .jacobian import (coefficient_function, is_nondegenerate, quotient_dims,
-                       r1, r1_hat, random_coefficients)
+from .jacobian import (Context, coefficient_function, quotient_dims,
+                       random_coefficients)
 from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
                      hb_assemble)
 from .lattice import (cone_from_rays, cone_over_polytope,
@@ -170,10 +174,10 @@ def _build_pair(job):
     return make_gorenstein_pair(cone)
 
 
-def _build_coefficients(pair, side, source):
+def _build_coefficients(pair, side, source, ctx):
     kind, payload = source
     if kind == "random":
-        return random_coefficients(pair, side, payload)
+        return random_coefficients(pair, side, payload, ctx=ctx)
     delta = set(pair.delta() if side == "f" else pair.delta_dual())
     extra = [p for p in payload if p not in delta]
     if extra:
@@ -182,11 +186,20 @@ def _build_coefficients(pair, side, source):
             % list(extra[0]))
     full = {p: payload.get(p, Fraction(0)) for p in delta}
     fn = coefficient_function(pair, side, full)
-    if not is_nondegenerate(pair, fn):
+    if not ctx.is_nondegenerate(fn):
         raise DegenerateCoefficients(
             "explicit %s coefficients fail the nondegeneracy certificate"
             % side)
     return fn
+
+
+def _job_context(job):
+    """The job's pair and its certified f and g, in one context."""
+    pair = _build_pair(job)
+    ctx = Context(pair)
+    ctx.f = _build_coefficients(pair, "f", job.f_source, ctx)
+    ctx.g = _build_coefficients(pair, "g", job.g_source, ctx)
+    return ctx
 
 
 def _dims_table(dims):
@@ -212,13 +225,14 @@ def pair_summary(pair):
     }
 
 
-def _verify_thm_key(pair, f, g, job):
-    return verify_theorem_key(pair.cone, D=job.max_degree)
+def _verify_thm_key(ctx, job):
+    return verify_theorem_key(ctx.pair.cone, D=job.max_degree)
 
 
-def _verify_thm_main(pair, f, g, job):
-    rep = cohomology_d(pair, f, g, D=job.max_degree)
-    deco = decomposition_dims(pair, f, g)
+def _verify_thm_main(ctx, job):
+    pair, f, g = ctx.pair, ctx.f, ctx.g
+    rep = cohomology_d(pair, f, g, D=job.max_degree, ctx=ctx)
+    deco = decomposition_dims(pair, f, g, ctx=ctx)
     match = all(rep.dims[k] == deco["total"].get(k, 0)
                 for k in range(job.max_degree))
     return {
@@ -230,7 +244,8 @@ def _verify_thm_main(pair, f, g, job):
     }
 
 
-def _verify_prop_maincoro(pair, f, g, job):
+def _verify_prop_maincoro(ctx, job):
+    pair = ctx.pair
     fan = FanSpace(pair.cone, pair.dual)
     D = min(job.max_degree, 5)
     cases = []
@@ -253,15 +268,16 @@ def _verify_prop_maincoro(pair, f, g, job):
             "origins_checked": len(cases), "cases": cases}
 
 
-def _verify_bhiso(pair, f, g, job):
+def _verify_bhiso(ctx, job):
+    pair = ctx.pair
     records = []
     verdict = "pass"
-    for side_pair, fn, label in ((pair, g, "dual"),
-                                 (pair.swap(), f, "primal")):
+    for side_pair, fn, label in ((pair, ctx.g, "dual"),
+                                 (pair.swap(), ctx.f, "primal")):
         for sigma in side_pair.dual_poset():
-            graded = r1(sigma, fn).dims_dict()
+            graded = ctx.r1(sigma, fn).dims_dict()
             try:
-                hat = r1_hat(sigma, fn).dims_dict()
+                hat = ctx.r1_hat(sigma, fn).dims_dict()
                 ok = hat == graded
             except StringyKitError:
                 hat = None
@@ -279,8 +295,9 @@ def _verify_bhiso(pair, f, g, job):
             "faces": records}
 
 
-def _verify_flatness(pair, f, g, job):
-    blocks = connection_on_hb(pair, f, g)
+def _verify_flatness(ctx, job):
+    g = ctx.g
+    blocks = connection_on_hb(ctx.pair, ctx.f, g, ctx=ctx)
     out = []
     verdict = "pass"
     for block in blocks:
@@ -303,10 +320,11 @@ def _verify_flatness(pair, f, g, job):
     return {"verdict": verdict, "blocks": out}
 
 
-def _verify_maingkz(pair, f, g, job):
+def _verify_maingkz(ctx, job):
+    pair, f, g = ctx.pair, ctx.f, ctx.g
     rep = cohomology_dhat(pair, f, g, D=2 * pair.rank,
-                          p_max=job.n_cap)
-    hb = hb_assemble(pair, f, g)
+                          p_max=job.n_cap, ctx=ctx)
+    hb = hb_assemble(pair, f, g, ctx=ctx)
     got = {k: v for k, v in rep.dims.items() if v}
     if rep.flags:
         verdict = "not-stabilized"
@@ -336,9 +354,7 @@ _VERIFIERS = {
 def run(job):
     """Execute a job; returns (report dict, exit code)."""
     try:
-        pair = _build_pair(job)
-        f = _build_coefficients(pair, "f", job.f_source)
-        g = _build_coefficients(pair, "g", job.g_source)
+        ctx = _job_context(job)
     except StringyKitError as exc:
         report = {
             "schema_version": SCHEMA_VERSION,
@@ -354,7 +370,7 @@ def run(job):
 
     for name in names:
         t0 = time.monotonic()
-        results[name] = _VERIFIERS[name](pair, f, g, job)
+        results[name] = _VERIFIERS[name](ctx, job)
         timings[name] = time.monotonic() - t0
 
     verdicts = [results[n]["verdict"] for n in names]
@@ -367,7 +383,7 @@ def run(job):
     report = {
         "schema_version": SCHEMA_VERSION,
         "job": job.echo(),
-        "pair": pair_summary(pair),
+        "pair": pair_summary(ctx.pair),
         "verifications": {n: results[n] for n in sorted(results)},
         "verdict": ("pass" if code == 0 else
                     "not-stabilized" if code == 3 else "fail"),
@@ -389,15 +405,13 @@ def inspect_pair(job):
 
 
 def hilbert_tables(job):
-    pair = _build_pair(job)
-    f = _build_coefficients(pair, "f", job.f_source)
-    g = _build_coefficients(pair, "g", job.g_source)
+    ctx = _job_context(job)
     sides = []
-    for label, poset, fn in (("primal", pair.poset(), f),
-                             ("dual", pair.dual_poset(), g)):
+    for label, poset, fn in (("primal", ctx.pair.poset(), ctx.f),
+                             ("dual", ctx.pair.dual_poset(), ctx.g)):
         faces_out = []
         for face in poset:
-            q = quotient_dims(face, fn)
+            q = quotient_dims(face, fn, ctx=ctx)
             counts = [len(points_at_degree(face, k, fn.lam))
                       for k in range(face.dim + 3)]
             faces_out.append({
@@ -411,17 +425,15 @@ def hilbert_tables(job):
 
 
 def r1_tables(job):
-    pair = _build_pair(job)
-    f = _build_coefficients(pair, "f", job.f_source)
-    g = _build_coefficients(pair, "g", job.g_source)
+    ctx = _job_context(job)
     sides = []
-    for label, poset, fn in (("primal", pair.poset(), f),
-                             ("dual", pair.dual_poset(), g)):
+    for label, poset, fn in (("primal", ctx.pair.poset(), ctx.f),
+                             ("dual", ctx.pair.dual_poset(), ctx.g)):
         faces_out = []
         for face in poset:
             faces_out.append({
                 "dim": face.dim,
-                "r1_dims": _dims_table(r1(face, fn).dims_dict()),
+                "r1_dims": _dims_table(ctx.r1(face, fn).dims_dict()),
             })
         sides.append({"side": label, "faces": faces_out})
     return {"schema_version": SCHEMA_VERSION, "job": job.echo(),
@@ -429,14 +441,14 @@ def r1_tables(job):
 
 
 def cohomology_table(job, differential="d"):
-    pair = _build_pair(job)
-    f = _build_coefficients(pair, "f", job.f_source)
-    g = _build_coefficients(pair, "g", job.g_source)
+    ctx = _job_context(job)
+    pair, f, g = ctx.pair, ctx.f, ctx.g
     if differential == "d":
-        rep = cohomology_d(pair, f, g, D=job.max_degree)
+        rep = cohomology_d(pair, f, g, D=job.max_degree, ctx=ctx)
         verdict = "pass"
     elif differential == "dhat":
-        rep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=job.n_cap)
+        rep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=job.n_cap,
+                              ctx=ctx)
         verdict = "not-stabilized" if rep.flags else "pass"
     else:
         raise ParseError("differential must be 'd' or 'dhat'",

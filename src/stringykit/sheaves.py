@@ -124,6 +124,7 @@ class MinimalSheaf:
         self.lifts = {}           # cell key -> list of {facet key: vec}
         self._basis_cache = {}
         self._restr_cache = {}
+        self._fun_restr_cache = {}
         self._gamma_cache = {}
         self._build()
 
@@ -189,8 +190,11 @@ class MinimalSheaf:
 
     # -- functional restriction coefficients -------------------------
 
-    @lru_cache(maxsize=None)
     def _fun_restr(self, big_face_key, small_face_key, side):
+        key = (big_face_key, small_face_key, side)
+        got = self._fun_restr_cache.get(key)
+        if got is not None:
+            return got
         big = self._face_by_key(big_face_key, side)
         small = self._face_by_key(small_face_key, side)
         rows = []
@@ -201,7 +205,9 @@ class MinimalSheaf:
             for i in range(big.dim):
                 if coords[i]:
                     rows[i].append((j, coords[i]))
-        return tuple(tuple(r) for r in rows)
+        got = tuple(tuple(r) for r in rows)
+        self._fun_restr_cache[key] = got
+        return got
 
     def _face_by_key(self, key, side):
         poset = self.fan.poset if side == 0 else self.fan.dual_poset

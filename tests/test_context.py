@@ -1,0 +1,196 @@
+"""The per-job context: each per-face object is built once per job, jobs
+do not see each other's state, failures are not cached, and repeated use
+in one process keeps no dead objects alive."""
+
+import gc
+import json
+import subprocess
+import sys
+import weakref
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from stringykit import jacobian, sheaves
+from stringykit.errors import DegenerateCoefficients, StabilizationFailed
+from stringykit.gkz import connection_on_hb
+from stringykit.gpoly import g_polynomial
+from stringykit.jacobian import (Context, GradedQuotient, coefficient_function,
+                                 random_coefficients)
+from stringykit.koszul import cohomology_d, hb_assemble
+from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
+                                make_gorenstein_pair)
+from stringykit.reporting import parse_input, render_report, run
+from stringykit.sheaves import (FanSpace, annihilator_face,
+                                verify_prop_maincoro)
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
+SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+P2 = [(1, 0), (0, 1), (-1, -1)]
+
+
+def _key(face, f, D):
+    return (face, f, face.dim + 2 if D is None else D)
+
+
+@pytest.mark.parametrize("name", ["segment", "square"])
+def test_report_builds_each_per_face_object_once(name, monkeypatch):
+    builds = Counter()
+    calls = {"r1": Counter(), "r1_hat": Counter(),
+             "is_nondegenerate": Counter()}
+    init = GradedQuotient.__init__
+
+    def counting_init(self, face, f, D, generators=None):
+        builds[(face, f, D)] += 1
+        init(self, face, f, D, generators)
+
+    monkeypatch.setattr(GradedQuotient, "__init__", counting_init)
+    for fn_name in ("r1", "r1_hat"):
+        fn = getattr(jacobian, fn_name)
+
+        def counted(face, f, D=None, ctx=None, _fn=fn, _n=fn_name):
+            calls[_n][_key(face, f, D)] += 1
+            return _fn(face, f, D, ctx)
+
+        monkeypatch.setattr(jacobian, fn_name, counted)
+    nondeg = jacobian.is_nondegenerate
+
+    def counted_nondeg(pair, f, ctx=None):
+        calls["is_nondegenerate"][f] += 1
+        return nondeg(pair, f, ctx)
+
+    monkeypatch.setattr(jacobian, "is_nondegenerate", counted_nondeg)
+
+    job = parse_input(json.loads((CORPUS / (name + ".json")).read_text()))
+    report, code = run(job)
+    assert code == 0
+    assert render_report(report) == \
+        (CORPUS / (name + ".report.json")).read_text()
+    assert builds and max(builds.values()) == 1
+    for counter in calls.values():
+        assert counter and max(counter.values()) == 1
+    # f and g, no resample at these seeds
+    assert len(calls["is_nondegenerate"]) == 2
+
+
+def test_jobs_in_one_process_match_separate_processes(tmp_path):
+    docs = [{"polytope_vertices": [[-1], [1]], "f": "random:seed=1",
+             "g": "random:seed=%d" % seed} for seed in (2, 7)]
+    in_process = [render_report(run(parse_input(doc))[0]) for doc in docs]
+    assert in_process[0] != in_process[1]
+    for doc, expected in zip(docs, in_process):
+        job_path = tmp_path / "job.json"
+        out_path = tmp_path / "report.json"
+        job_path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stringykit.cli", "report",
+             str(job_path), "--output", str(out_path)],
+            capture_output=True, text=True, cwd=str(ROOT))
+        assert proc.returncode == 0, proc.stderr
+        assert out_path.read_text() == expected
+
+
+def _degenerate_cases():
+    pair = make_gorenstein_pair(cone_over_polytope(P2))
+    f = random_coefficients(pair, "f", 1)
+    g = random_coefficients(pair, "g", 2)
+    f0 = coefficient_function(pair, "f", {p: 0 for p in pair.delta()})
+    g0 = coefficient_function(pair, "g", {p: 0 for p in pair.delta_dual()})
+    return pair, [(f0, g), (f, g0)]
+
+
+@pytest.mark.parametrize("verifier", [cohomology_d, hb_assemble,
+                                      connection_on_hb])
+def test_degenerate_rejected_without_context(verifier):
+    pair, cases = _degenerate_cases()
+    for f, g in cases:
+        with pytest.raises(DegenerateCoefficients):
+            verifier(pair, f, g)
+
+
+def test_failures_raise_on_every_call(monkeypatch):
+    pair, cases = _degenerate_cases()
+    ctx = Context(pair)
+    for f, g in cases:
+        for _ in range(2):
+            with pytest.raises(DegenerateCoefficients):
+                ctx.certify(f, g)
+    attempts = []
+
+    def unstable(face, g, D=None, ctx=None):
+        attempts.append(face)
+        raise StabilizationFailed("no stable truncation")
+
+    monkeypatch.setattr(jacobian, "certified_hat_model", unstable)
+    g = cases[0][1]
+    top = pair.dual_poset().top
+    for _ in range(2):
+        with pytest.raises(StabilizationFailed):
+            ctx.r1_hat(top, g)
+    assert len(attempts) == 2
+
+
+def test_context_memo_returns_one_object_per_key():
+    pair = make_gorenstein_pair(cone_over_polytope(P2))
+    ctx = Context(pair)
+    g = random_coefficients(pair, "g", 2, ctx=ctx)
+    top = pair.dual_poset().top
+    # the quotient certified with g is the one r1 reads
+    assert ctx.quotient(top, g, top.dim + 2) is \
+        jacobian.quotient_dims(top, g, ctx=ctx)
+    assert ctx.r1(top, g) is ctx.r1(top, g, top.dim + 2)
+    assert ctx.r1_hat(top, g) is ctx.r1_hat(top, g)
+    model = ctx.certified_hat_model(top, g)
+    assert model.interior_level_data() is model.interior_level_data()
+    # a fresh context shares nothing
+    assert Context(pair).r1(top, g) is not ctx.r1(top, g)
+
+
+def test_prop_maincoro_sweeps_keep_no_sheaf_alive(monkeypatch):
+    live = weakref.WeakSet()
+    init = sheaves.MinimalSheaf.__init__
+
+    def tracking_init(self, *args):
+        init(self, *args)
+        live.add(self)
+
+    monkeypatch.setattr(sheaves.MinimalSheaf, "__init__", tracking_init)
+    cone = cone_over_polytope(SQUARE)
+    fan = FanSpace(cone)
+
+    def sweep():
+        for theta0 in fan.poset:
+            tstar = annihilator_face(theta0, fan.dual_poset)
+            for sigma0 in fan.dual_poset:
+                if fan.dual_poset.leq(sigma0, tstar):
+                    rep = verify_prop_maincoro(cone, theta0, sigma0, D=3)
+                    assert rep["verdict"] == "pass"
+
+    counts = []
+    for _ in range(2):
+        sweep()
+        gc.collect()
+        counts.append(len(live))
+    assert counts[1] <= counts[0]
+
+
+def test_g_polynomials_not_shared_across_posets():
+    # the square cone and the simplicial 4-cone both have four facets, so
+    # their [zero, top] intervals have equal face keys and different g
+    cones = [cone_over_polytope(SQUARE),
+             cone_from_rays([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                             (0, 0, 0, 1)]),
+             cone_over_polytope(P2)]
+    kept = [FacePoset(cone) for cone in cones]
+    expected = [{(a.key(), b.key()): g_polynomial(poset, a, b)
+                 for a in poset for b in poset if poset.leq(a, b)}
+                for poset in kept]
+    for _ in range(5):
+        for cone, want in zip(cones, expected):
+            poset = FacePoset(cone)
+            got = {(a.key(), b.key()): g_polynomial(poset, a, b)
+                   for a in poset for b in poset if poset.leq(a, b)}
+            assert got == want
+            del poset
