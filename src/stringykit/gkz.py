@@ -18,7 +18,6 @@ takes them, with R1 and the certificates of f and g, from its ``ctx``
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DegenerateCoefficients, TruncationTooSmall
 from .jacobian import (Context, HatModel, _delta_in_face,
@@ -53,9 +52,8 @@ class _QuotientBasis:
         self._matrices = {}
         self._coords = Echelon()
         for i, p in enumerate(self.basis_points):
-            rem = model.class_reduce({p: Fraction(1)})
-            if not rem or self._coords.insert(
-                    dict(rem), {i: Fraction(1)}) is None:
+            rem = model.class_reduce({p: 1})
+            if not rem or self._coords.insert(dict(rem), {i: 1}) is None:
                 raise DegenerateCoefficients(
                     "selected monomials do not stay a basis")
 
@@ -64,13 +62,11 @@ class _QuotientBasis:
         if red:
             raise TruncationTooSmall(
                 "class not expressible inside the truncation window")
-        return [-sh.get(i, Fraction(0))
-                for i in range(len(self.basis_points))]
+        return [-sh.get(i, 0) for i in range(len(self.basis_points))]
 
     def expand(self, point):
         """Coordinates of the class of one monomial in the basis."""
-        return self._coordinates(
-            self.model.class_reduce({point: Fraction(1)}))
+        return self._coordinates(self.model.class_reduce({point: 1}))
 
     def _columns(self, n):
         """Coordinates of basis[i] + n, one list per basis monomial."""

@@ -13,21 +13,21 @@ one it builds a throwaway context and does the same work.
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DegenerateCoefficients, StabilizationFailed
 from .lattice import dot, faces, padd, points_at_degree, span_coords
-from .linalg import Echelon
+from .linalg import Echelon, rational
 
 MAX_RESAMPLE = 32
 
 
 @dataclass(frozen=True)
 class CoefficientFunction:
-    """Exact rational map on the degree-one points of one cone of a pair."""
+    """Exact rational map on the degree-one points of one cone of a pair.
+    A value is an int when it is integral, else a Fraction."""
     cone: object
     lam: tuple                      # height functional of this side
-    values: tuple                   # sorted ((point, Fraction), ...)
+    values: tuple                   # sorted ((point, value), ...)
     _map: dict = field(default=None, compare=False, repr=False)
 
     def mapping(self):
@@ -44,10 +44,10 @@ class CoefficientFunction:
         return [p for p, _ in self.values]
 
     def scaled(self, c):
-        c = Fraction(c)
+        c = rational(c)
         return CoefficientFunction(
             self.cone, self.lam,
-            tuple((p, c * v) for p, v in self.values))
+            tuple((p, rational(c * v)) for p, v in self.values))
 
 
 def coefficient_function(pair, side, mapping):
@@ -63,7 +63,7 @@ def coefficient_function(pair, side, mapping):
         delta = pair.delta_dual()
     else:
         raise ValueError("side must be 'f' or 'g'")
-    mapping = {tuple(p): Fraction(v) for p, v in dict(mapping).items()}
+    mapping = {tuple(p): rational(v) for p, v in dict(mapping).items()}
     if set(mapping) != set(delta):
         raise ValueError("domain must equal the degree-one points")
     return CoefficientFunction(cone, lam,
@@ -87,7 +87,7 @@ def random_coefficients(pair, side, seed, certify=True, ctx=None):
             v = 0
             while v == 0:
                 v = rng.randint(-5, 5)
-            mapping[p] = Fraction(v)
+            mapping[p] = v
         f = coefficient_function(pair, side, mapping)
         if not certify or ctx.is_nondegenerate(f):
             return f
@@ -180,7 +180,7 @@ def r1(face, f, D=None, ctx=None):
     """Image of the interior part in the quotient, degree by degree."""
     if face.dim == 0:
         zero = (0,) * face.cone.ambient_rank
-        return R1Space(dims=((0, 1),), reps=((0, ({zero: Fraction(1)},)),))
+        return R1Space(dims=((0, 1),), reps=((0, ({zero: 1},)),))
     q = quotient_dims(face, f, D, ctx)
     img = Echelon()
     dims = []
@@ -189,7 +189,7 @@ def r1(face, f, D=None, ctx=None):
         level_reps = []
         before = img.rank
         for p in points_at_degree(face, k, q.lam, interior_only=True):
-            rem = q.reduce(k, {p: Fraction(1)})
+            rem = q.reduce(k, {p: 1})
             if not rem:
                 continue
             # supports at distinct degrees are disjoint, one echelon is fine
@@ -252,7 +252,7 @@ class HatModuleElement:
 
     @classmethod
     def monomial(cls, face, point, value=1):
-        return cls(face, ((tuple(point), Fraction(value)),))
+        return cls(face, ((tuple(point), rational(value)),))
 
 
 def _hat_weights(face, g, mus):
@@ -328,8 +328,7 @@ class HatModel:
         for k in range(D):
             for c in points_at_degree(face, k, self.lam):
                 for j, mu in enumerate(mus):
-                    vec = _hat_action_vec(face, weights[j], mu,
-                                          {c: Fraction(1)})
+                    vec = _hat_action_vec(face, weights[j], mu, {c: 1})
                     pivot = self.ideal.insert(vec) if vec else None
                     self.generators.append((c, j, vec, pivot))
 
@@ -366,7 +365,7 @@ class HatModel:
             for n, a in terms[j]:
                 cls = classes.get((n, c))
                 if cls is None:
-                    rem = self.class_reduce({padd(c, n): Fraction(1)})
+                    rem = self.class_reduce({padd(c, n): 1})
                     cls = {(n, q): v for q, v in rem.items()}
                     classes[(n, c)] = cls
                 if a == 1:
@@ -395,12 +394,12 @@ class HatModel:
         out = []
         if self.face.dim == 0:
             zero = (0,) * self.face.cone.ambient_rank
-            return [(0, [(zero, {zero: Fraction(1)})])]
+            return [(0, [(zero, {zero: 1})])]
         for k in range(self.D + 1):
             level = []
             for p in points_at_degree(self.face, k, self.lam,
                                       interior_only=True):
-                rem = self.class_reduce({p: Fraction(1)})
+                rem = self.class_reduce({p: 1})
                 if rem and img.insert(dict(rem)) is not None:
                     level.append((p, rem))
             out.append((k, level))

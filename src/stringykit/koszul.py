@@ -21,7 +21,6 @@ for the call.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InfinitePiece
 from .jacobian import Context
@@ -52,11 +51,13 @@ def v_basis(pair, grading, bound, n_cap=None):
     wedges = _wedges(r)
     out = {}
     if grading == "d":
+        pts_m = [_pts(pair, pair.cone, a) for a in range(bound + 1)]
+        pts_n = [_pts(pair, pair.dual, b) for b in range(bound + 1)]
         for k in range(bound + 1):
             elems = []
             for a in range(k + 1):
-                for m in _pts(pair, pair.cone, a):
-                    for n in _pts(pair, pair.dual, k - a):
+                for m in pts_m[a]:
+                    for n in pts_n[k - a]:
                         if dot(m, n) == 0:
                             elems.extend((m, n, S) for S in wedges)
             out[k] = sorted(elems)
@@ -65,6 +66,8 @@ def v_basis(pair, grading, bound, n_cap=None):
         if n_cap is None:
             raise InfinitePiece(
                 "d-hat graded pieces are infinite without an n-degree cap")
+        pts_m = [_pts(pair, pair.cone, a) for a in range(bound // 2 + 1)]
+        pts_n = [_pts(pair, pair.dual, b) for b in range(n_cap + 1)]
         for gv in range(bound + 1):
             elems = []
             for a in range(gv // 2 + 1):
@@ -72,9 +75,9 @@ def v_basis(pair, grading, bound, n_cap=None):
                 if ell > r:
                     continue
                 level_wedges = [S for S in wedges if len(S) == ell]
-                for m in _pts(pair, pair.cone, a):
-                    for b in range(n_cap + 1):
-                        for n in _pts(pair, pair.dual, b):
+                for m in pts_m[a]:
+                    for pts in pts_n:
+                        for n in pts:
                             if dot(m, n) == 0:
                                 elems.extend(
                                     (m, n, S) for S in level_wedges)
@@ -84,12 +87,16 @@ def v_basis(pair, grading, bound, n_cap=None):
 
 
 def _contract(mvec, S):
+    """Contraction of the wedge monomial S by the vector mvec, as
+    (sign * coefficient, S minus one index) terms."""
     for pos, j in enumerate(S):
         if mvec[j]:
             yield ((-1) ** pos) * mvec[j], S[:pos] + S[pos + 1:]
 
 
 def _wedge(nvec, S):
+    """Wedge of the vector nvec with the wedge monomial S, as
+    (sign * coefficient, sorted S plus one index) terms."""
     for j in range(len(nvec)):
         if j in S or not nvec[j]:
             continue
@@ -140,7 +147,7 @@ def dhat_column(pair, f, g, elt, drop_from=None):
     m1, n1, S = elt
     col = d_column(pair, f, g, elt)
     for sign, S2 in _wedge(n1, S):
-        _add(col, (m1, n1, S2), Fraction(sign))
+        _add(col, (m1, n1, S2), sign)
     if drop_from is not None:
         col = {key: v for key, v in col.items()
                if dot(pair.deg, key[1]) < drop_from}

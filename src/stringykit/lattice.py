@@ -8,10 +8,9 @@ plenty at desk scale (rank <= 6, a few dozen rays).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import ceil, floor, gcd
+from math import gcd
 
 from .errors import (DegeneratePolytope, NotFullDimensional, NotGorenstein,
                      NotPointed, UnboundedSlice)
@@ -486,14 +485,12 @@ def points_at_degree(face, k, lam, interior_only=False):
         raise UnboundedSlice("grading functional not positive on a ray")
     if k == 0:
         return [] if interior_only else [zero]
-    lo = [None] * n
-    hi = [None] * n
-    for r, h in zip(face.rays, heights):
-        for j in range(n):
-            v = Fraction(k * r[j], h)
-            lo[j] = v if lo[j] is None else min(lo[j], v)
-            hi[j] = v if hi[j] is None else max(hi[j], v)
-    ranges = [range(ceil(lo[j]), floor(hi[j]) + 1) for j in range(n)]
+    # integer box around the slice, the hull of k r / h over the rays r
+    ranges = []
+    for j in range(n):
+        tips = [(k * r[j], h) for r, h in zip(face.rays, heights)]
+        ranges.append(range(min(-(-t // h) for t, h in tips),
+                            max(t // h for t, h in tips) + 1))
     normals = cone.facet_normals
     active = face.active
     out = []

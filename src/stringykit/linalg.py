@@ -1,20 +1,32 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts mapping column index to a nonzero rational (``int`` or
-``Fraction``).  Two engines:
+Vectors are dicts mapping column index to a nonzero rational: an ``int``
+when it is integral, a ``Fraction`` otherwise (``rational`` converts).
+Two engines:
 
 * ``exact_rank`` -- fraction-free integer elimination with a cheap
   Markowitz-style pivot rule; the hot path for the big Koszul rank jobs.
 * ``Echelon`` -- an insertion echelon in reduced form with pivots
   normalized to one.  Deterministic (smallest column wins), so every
-  basis derived from it is canonical.  Supports a parallel "shadow"
-  vector, which gives kernel tracking, coordinate extraction and the
-  derivative bookkeeping of the hat-module connection.
+  basis derived from it is canonical.  A pivot of 1 keeps the row as it
+  is and a pivot of -1 negates it, so int rows stay int; any other pivot
+  x scales by ``Fraction(1) / x`` (``1 / x`` of an int is a float).
+  Supports a parallel "shadow" vector, which gives kernel tracking,
+  coordinate extraction and the derivative bookkeeping of the hat-module
+  connection.
 """
 
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
+
+
+def rational(v):
+    """v as an exact rational: an int when integral, else a Fraction."""
+    if isinstance(v, int):
+        return v
+    q = Fraction(v)
+    return q.numerator if q.denominator == 1 else q
 
 
 def vec_add(a, b, coeff=1):
@@ -92,9 +104,18 @@ class Echelon:
         if not rem:
             return None
         c = min(rem)
-        inv = Fraction(1) / rem[c]   # 1 / int would be a float
-        row = {j: inv * v for j, v in rem.items()}
-        srow = {j: inv * v for j, v in sh.items()} if sh is not None else {}
+        x = rem[c]
+        if sh is None:
+            sh = {}
+        if x == 1:
+            row, srow = rem, sh
+        elif x == -1:
+            row = {j: -v for j, v in rem.items()}
+            srow = {j: -v for j, v in sh.items()}
+        else:
+            inv = Fraction(1) / x   # 1 / int would be a float
+            row = {j: inv * v for j, v in rem.items()}
+            srow = {j: inv * v for j, v in sh.items()}
         # back-substitute to keep the basis reduced
         for c0, row0 in self.rows.items():
             coef = row0.get(c)
@@ -106,7 +127,7 @@ class Echelon:
                     else:
                         row0.pop(j, None)
                 srow0 = self.shadows.get(c0)
-                if srow is not None and (srow0 or srow):
+                if srow0 or srow:
                     if srow0 is None:
                         srow0 = {}
                     for j, v in srow.items():
@@ -125,8 +146,10 @@ class Echelon:
         return not rem
 
     def basis_rows(self):
-        """Canonical RREF rows, sorted by pivot column."""
-        return [dict(self.rows[c]) for c in sorted(self.rows)]
+        """Canonical RREF rows, sorted by pivot column, with integral
+        entries as int."""
+        return [{j: rational(v) for j, v in self.rows[c].items()}
+                for c in sorted(self.rows)]
 
     def pivot_columns(self):
         return sorted(self.rows)
@@ -150,11 +173,11 @@ def kernel_basis(vectors):
     ech = Echelon()
     combos = []
     for i, v in enumerate(vectors):
-        rem, sh = ech.reduce(v, {i: Fraction(1)})
+        rem, sh = ech.reduce(v, {i: 1})
         if not rem:
             combos.append(sh)
         else:
-            ech.insert(v, {i: Fraction(1)})
+            ech.insert(v, {i: 1})
     return rref_basis(combos)
 
 

@@ -13,12 +13,12 @@ degreewise exact below the truncation.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import TruncationTooSmall
 from .gpoly import ih_dims
+from .koszul import _contract, _wedge
 from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
 from .linalg import Echelon, exact_rank, kernel_basis
 
@@ -225,7 +225,7 @@ class MinimalSheaf:
         if face_cell.key() not in self._support_keys:
             cols = [dict() for _ in basis]
         elif face_cell.key() == cell.key():
-            cols = [{i: Fraction(1)} for i in range(len(basis))]
+            cols = [{i: 1} for i in range(len(basis))]
         else:
             facets = [f for f in self.fan.facets_of(cell)
                       if f.key() in self._support_keys
@@ -483,20 +483,6 @@ def build_w(fan, origin, D):
 def standard_dual_bases(r):
     basis = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
     return basis, basis
-
-
-def _contract(mvec, S):
-    for pos, j in enumerate(S):
-        if mvec[j]:
-            yield ((-1) ** pos) * mvec[j], S[:pos] + S[pos + 1:]
-
-
-def _wedge(nvec, S):
-    for j in range(len(nvec)):
-        if j in S or not nvec[j]:
-            continue
-        pos = sum(1 for i in S if i < j)
-        yield ((-1) ** pos) * nvec[j], tuple(sorted(S + (j,)))
 
 
 class BigradedComplex:

@@ -1,0 +1,131 @@
+"""Scalar representation: integral rationals are Python ints, true
+fractions are Fractions, and no value is ever a float."""
+
+from fractions import Fraction
+from random import Random
+
+from stringykit.jacobian import random_coefficients
+from stringykit.koszul import d_column, dhat_column, v_basis
+from stringykit.lattice import cone_over_polytope, make_gorenstein_pair
+from stringykit.linalg import Echelon, kernel_basis, rational
+from stringykit.sheaves import BigradedComplex, FanSpace, build_w
+
+
+def segment_pair():
+    return make_gorenstein_pair(cone_over_polytope([(-1,), (1,)]))
+
+
+def p2_pair():
+    return make_gorenstein_pair(cone_over_polytope([(1, 0), (0, 1),
+                                                    (-1, -1)]))
+
+
+def _types(values):
+    return {type(v) for v in values}
+
+
+def test_rational_keeps_integral_values_int():
+    assert type(rational(3)) is int
+    assert type(rational(Fraction(6, 2))) is int
+    assert rational(Fraction(6, 2)) == 3
+    assert rational("-4/2") == -2
+    assert rational(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(rational(Fraction(1, 2))) is Fraction
+
+
+def test_random_coefficients_are_int():
+    for pair in (segment_pair(), p2_pair()):
+        for side, seed in (("f", 1), ("g", 2)):
+            fn = random_coefficients(pair, side, seed)
+            assert _types(v for _, v in fn.values) == {int}
+            assert _types(v for _, v in fn.scaled(3).values) == {int}
+            assert _types(v for _, v in fn.scaled(Fraction(1, 2)).values) \
+                <= {int, Fraction}
+
+
+def test_segment_koszul_columns_are_int():
+    pair = segment_pair()
+    f = random_coefficients(pair, "f", 1)
+    g = random_coefficients(pair, "g", 2)
+    seen = set()
+    for elems in v_basis(pair, "d", 4).values():
+        for e in elems:
+            seen |= _types(d_column(pair, f, g, e).values())
+    for elems in v_basis(pair, "dhat", 4, n_cap=3).values():
+        for e in elems:
+            seen |= _types(dhat_column(pair, f, g, e).values())
+    assert seen == {int}
+
+
+def test_segment_sheaf_columns_are_int():
+    pair = segment_pair()
+    fan = FanSpace(pair.cone)
+    for origin in fan.cells:
+        cx = BigradedComplex(build_w(fan, origin, 4))
+        seen = set()
+        for s in range(4):
+            for gr in cx.gr_values(s):
+                for col in cx.d_columns(gr, s):
+                    seen |= _types(col.values())
+        assert seen <= {int}, origin
+
+
+def test_echelon_keeps_int_rows_with_unit_pivots():
+    ech = Echelon()
+    assert ech.insert({0: 1, 2: 3}, {0: 1}) == 0
+    assert ech.insert({1: -1, 2: 5}, {1: 1}) == 1
+    assert ech.insert({0: 1, 1: 1, 2: -2}, {2: 1}) is None
+    assert ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -5}}
+    assert ech.shadows == {0: {0: 1}, 1: {1: -1}}
+    for rows in (ech.rows, ech.shadows):
+        for row in rows.values():
+            assert _types(row.values()) == {int}
+    rem, sh = ech.reduce({0: 2, 1: 3, 2: 1}, {5: 1})
+    assert rem == {2: 10} and sh == {5: 1, 0: -2, 1: 3}
+    assert _types(rem.values()) | _types(sh.values()) == {int}
+    # a pivot of 2 scales by a Fraction, never by a float
+    assert ech.insert({2: 2}) == 2
+    assert ech.rows[2] == {2: 1}
+    for rows in (ech.rows, ech.shadows):
+        for row in rows.values():
+            assert float not in _types(row.values())
+
+
+def _random_rows(rng, nrows, ncols):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.5:
+                v = rng.randint(-3, 3)
+                if v:
+                    row[j] = v
+        rows.append(row)
+    return rows
+
+
+def test_int_and_fraction_rows_give_the_same_echelon():
+    """Seeded property: the same rows given as int or as Fraction give
+    equal canonical rows, pivots, reductions and kernels."""
+    rng = Random(11)
+    for trial in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = _random_rows(rng, nrows, ncols)
+        as_frac = [{j: Fraction(v) for j, v in r.items()} for r in rows]
+        e_int, e_frac = Echelon(), Echelon()
+        for r, q in zip(rows, as_frac):
+            assert e_int.insert(r) == e_frac.insert(q)
+        assert e_int.basis_rows() == e_frac.basis_rows()
+        assert e_int.pivot_columns() == e_frac.pivot_columns()
+        for probe in _random_rows(rng, 3, ncols):
+            probe_frac = {j: Fraction(v) for j, v in probe.items()}
+            assert e_int.reduce(probe) == e_frac.reduce(probe_frac)
+            for v in e_int.reduce(probe)[0].values():
+                assert type(v) in (int, Fraction)
+        assert kernel_basis(rows) == kernel_basis(as_frac)
+        for ech in (e_int, e_frac):
+            for row in ech.basis_rows():
+                for v in row.values():
+                    assert type(v) in (int, Fraction)
+                    if type(v) is Fraction:
+                        assert v.denominator != 1
