@@ -7,8 +7,7 @@ connection matrices) and verifies the structural theorems about them on
 desk-scale examples, entirely in rational arithmetic.
 """
 
-from .gkz import (basis_select, connection_data, connection_on_hb,
-                  curvature_report, flatness_check, multiplication_matrix)
+from .gkz import connection_data, connection_on_hb, curvature_report
 from .gpoly import g_polynomial, ih_dims, verify_degree_bounds
 from .jacobian import (CoefficientFunction, Context, coefficient_function,
                        hat_action, is_nondegenerate, log_derivative_elements,
@@ -18,23 +17,19 @@ from .koszul import (cohomology_d, cohomology_dhat, cohomology_ha, d_matrix,
 from .lattice import (Cone, Face, FacePoset, GorensteinPair, cone_from_rays,
                       cone_over_polytope, dual_cone, dual_face, faces,
                       make_gorenstein_pair, points_at_degree)
-from .sheaves import (FanSpace, build_w, koszul_differential_on_w,
-                      minimal_sheaf, verify_prop_maincoro,
+from .sheaves import (FanSpace, build_w, verify_prop_maincoro,
                       verify_theorem_key)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientFunction", "Cone", "Context", "Face", "FacePoset", "FanSpace",
-    "GorensteinPair", "basis_select", "build_w", "coefficient_function",
-    "cohomology_d", "cohomology_dhat", "cohomology_ha", "cone_from_rays",
-    "cone_over_polytope", "connection_data", "connection_on_hb",
-    "curvature_report", "d_matrix", "decomposition_dims", "dhat_matrix",
-    "dual_cone", "dual_face", "faces", "flatness_check", "g_polynomial",
-    "hat_action", "hb_assemble", "ih_dims", "is_nondegenerate",
-    "koszul_differential_on_w", "log_derivative_elements",
-    "make_gorenstein_pair", "minimal_sheaf", "multiplication_matrix",
-    "points_at_degree", "quotient_dims", "r1", "r1_hat",
-    "random_coefficients", "v_basis", "verify_degree_bounds",
-    "verify_prop_maincoro", "verify_theorem_key",
+    "GorensteinPair", "build_w", "coefficient_function", "cohomology_d",
+    "cohomology_dhat", "cohomology_ha", "cone_from_rays", "cone_over_polytope",
+    "connection_data", "connection_on_hb", "curvature_report", "d_matrix",
+    "decomposition_dims", "dhat_matrix", "dual_cone", "dual_face", "faces",
+    "g_polynomial", "hat_action", "hb_assemble", "ih_dims", "is_nondegenerate",
+    "log_derivative_elements", "make_gorenstein_pair", "points_at_degree",
+    "quotient_dims", "r1", "r1_hat", "random_coefficients", "v_basis",
+    "verify_degree_bounds", "verify_prop_maincoro", "verify_theorem_key",
 ]

@@ -12,16 +12,16 @@ commute.  Derivatives are exact rationals taken from the reduction
 itself (``HatModel.row_derivatives``), never from the identity they are
 checked against.
 
-Every block is read from a certified hat model; ``connection_on_hb``
-takes them, with R1 and the certificates of f and g, from its ``ctx``
-(a ``jacobian.Context``), so a job builds each one once.
+A block is a ``ConnectionData``, read from one hat model.
+``connection_data(sigma, g0)`` certifies g0 on the face and builds the
+block from its certified hat model; ``connection_on_hb`` takes the
+models, with R1 and the certificates of f and g, from its ``ctx`` (a
+``jacobian.Context``), so a job builds each one once.
+``curvature_report(block)`` checks the identity on a block.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import DegenerateCoefficients, TruncationTooSmall
-from .jacobian import (Context, HatModel, _delta_in_face,
-                       face_is_nondegenerate)
+from .jacobian import Context, _delta_in_face, face_is_nondegenerate
 from .lattice import dot, dual_face, faces, padd
 from .linalg import Echelon, vec_add
 
@@ -39,130 +39,88 @@ def _transpose(cols):
     return [list(row) for row in zip(*cols)]
 
 
-class _QuotientBasis:
-    """Hat-quotient of one face with coordinates in a fixed monomial
-    basis; by default every interior monomial with a new class."""
+class ConnectionData:
+    """Expansion matrices A_n on one face's hat-quotient at a base point.
+
+    The basis is by default every interior monomial with a new class,
+    in (degree, lex) order; the choice is independent of g near g0.
+    ``matrices[n]`` is A_n for every degree-one point n of the face:
+    column i expands the class of basis[i] + n in the basis.
+    """
 
     def __init__(self, model, basis_points=None):
         self.model = model
+        self.sigma, self.g0 = model.face, model.g
         if basis_points is None:
-            data = model.interior_level_data()
-            basis_points = [p for _, level in data for p, _ in level]
-        self.basis_points = list(basis_points)
-        self._matrices = {}
+            basis_points = [p for _, level in model.interior_level_data()
+                            for p, _ in level]
+        self.basis = tuple(basis_points)
         self._coords = Echelon()
-        for i, p in enumerate(self.basis_points):
+        for i, p in enumerate(self.basis):
             rem = model.class_reduce({p: 1})
             if not rem or self._coords.insert(dict(rem), {i: 1}) is None:
                 raise DegenerateCoefficients(
                     "selected monomials do not stay a basis")
+        self.matrices = {n: _transpose(self._columns(n))
+                         for n in _delta_in_face(self.sigma, self.g0)}
+
+    def dim(self):
+        return len(self.basis)
 
     def _coordinates(self, vec):
         red, sh = self._coords.reduce(vec, {})
         if red:
             raise TruncationTooSmall(
                 "class not expressible inside the truncation window")
-        return [-sh.get(i, 0) for i in range(len(self.basis_points))]
-
-    def expand(self, point):
-        """Coordinates of the class of one monomial in the basis."""
-        return self._coordinates(self.model.class_reduce({point: 1}))
+        return [-sh.get(i, 0) for i in range(len(self.basis))]
 
     def _columns(self, n):
         """Coordinates of basis[i] + n, one list per basis monomial."""
         cols = []
-        for c in self.basis_points:
+        for c in self.basis:
             if dot(padd(c, n), self.model.lam) > self.model.D:
                 raise TruncationTooSmall(
                     "basis monomial plus n leaves the truncation window")
-            cols.append(self.expand(padd(c, n)))
+            cols.append(self._coordinates(
+                self.model.class_reduce({padd(c, n): 1})))
         return cols
 
-    def matrix(self, n):
-        """A_n (computed once per quotient)."""
-        if n not in self._matrices:
-            self._matrices[n] = _transpose(self._columns(n))
-        return self._matrices[n]
-
-    def derivatives(self, directions):
-        """A_n, keyed n, and d/dg(n) A_{n'}, keyed (n, n'), for n and n'
-        in directions.
+    def derivatives(self):
+        """d/dg(n) A_{n'}, keyed (n, n'), for n and n' in matrices.
 
         With rem_t the class of monomial t and rem_{c+n'} = sum_i a_i
         rem_{b_i}, the derivative of the coordinates a is the coordinate
         vector of d rem_{c+n'} - sum_i a_i d rem_{b_i}.
         """
+        directions = list(self.matrices)
         rows = self.model.row_derivatives(directions)
 
         def d_class(t, n):
             # the class of t is t - row_t at a pivot t, else t itself
             return {q: -v for (m, q), v in rows.get(t, {}).items() if m == n}
 
-        value = {n: self.matrix(n) for n in directions}
-        cols = {n: _transpose(value[n]) for n in directions}
+        cols = {n: _transpose(self.matrices[n]) for n in directions}
         deriv = {}
         for n in directions:
-            d_basis = [d_class(b, n) for b in self.basis_points]
+            d_basis = [d_class(b, n) for b in self.basis]
             for n2 in directions:
                 d_cols = []
-                for c, a in zip(self.basis_points, cols[n2]):
+                for c, a in zip(self.basis, cols[n2]):
                     vec = d_class(padd(c, n2), n)
                     for a_i, d_b in zip(a, d_basis):
                         if a_i:
                             vec = vec_add(vec, d_b, -a_i)
                     d_cols.append(self._coordinates(vec))
                 deriv[(n, n2)] = _transpose(d_cols)
-        return value, deriv
+        return deriv
 
 
-def _quotient(sigma, g0, D=None, basis_points=None):
-    """The block's quotient basis: certified, with the basis chosen
-    here, unless the caller supplies the basis."""
-    if D is None:
-        D = sigma.dim + 2
-    if basis_points is not None:
-        return _QuotientBasis(HatModel(sigma, g0, D), basis_points)
+def connection_data(sigma, g0):
+    """The block of one face at g0, after certifying g0 on every face
+    of sigma; raises DegenerateCoefficients when g0 fails."""
     ctx = Context()
     _certify_face(sigma, g0, ctx)
-    return _QuotientBasis(ctx.certified_hat_model(sigma, g0, D))
-
-
-def basis_select(sigma, g0, D=None):
-    """Interior monomials whose classes form a basis, chosen greedily in
-    (degree, lex) order; the choice is independent of g near g0."""
-    return list(_quotient(sigma, g0, D).basis_points)
-
-
-@dataclass
-class ConnectionData:
-    """Expansion matrices A_n on one face's hat-quotient at a base point."""
-    sigma: object
-    g0: object
-    basis: tuple
-    matrices: dict           # n -> matrix as list of rows
-    quotient: object = field(default=None, compare=False, repr=False)
-
-    def dim(self):
-        return len(self.basis)
-
-
-def multiplication_matrix(cd, n):
-    """A_n: column i expands the class of basis[i] + n in the basis."""
-    if n not in cd.matrices:
-        raise ValueError("n is not a degree-one point of the face")
-    return cd.matrices[n]
-
-
-def _connection(qb):
-    sigma, g0 = qb.model.face, qb.model.g
-    mats = {n: qb.matrix(n) for n in _delta_in_face(sigma, g0)}
-    return ConnectionData(sigma=sigma, g0=g0, basis=tuple(qb.basis_points),
-                          matrices=mats, quotient=qb)
-
-
-def connection_data(sigma, g0, D=None, basis_points=None):
-    """Build the full matrix family over the face's degree-one points."""
-    return _connection(_quotient(sigma, g0, D, basis_points))
+    return ConnectionData(ctx.certified_hat_model(sigma, g0))
 
 
 def _mat_sub(a, b):
@@ -179,28 +137,18 @@ def _commutator(a, b):
     return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
 
 
-def flatness_check(sigma, g0, n, nprime, D=None, basis_points=None):
-    """Exact curvature identity at the base point:
-    d/dg(n) A_{n'} - d/dg(n') A_n = [A_{n'}, A_n]."""
-    qb = _quotient(sigma, g0, D, basis_points)
-    value, deriv = qb.derivatives([n, nprime])
-    return (_mat_sub(deriv[(n, nprime)], deriv[(nprime, n)])
-            == _commutator(value[nprime], value[n]))
+def curvature_report(block):
+    """Exact curvature identity at the block's base point,
+        d/dg(n) A_{n'} - d/dg(n') A_n = [A_{n'}, A_n],
+    over every unordered pair of parameter directions (n = n' included).
 
-
-def curvature_report(sigma, g0, D=None, basis_points=None, connection=None):
-    """Flatness sweep over every ordered pair of parameter directions on
-    one face, from one rational build of its hat quotient; a
-    ``connection`` from connection_data lends the build it already made.
-
-    Returns the exact outcome of the curvature identity together with
-    the (generally false) plain derivative symmetry and commutativity,
-    reported for the record, and the matrices and derivatives checked.
+    Returns its outcome together with the (generally false) plain
+    derivative symmetry and commutativity, reported for the record, and
+    the matrices and derivatives checked.
     """
-    qb = (connection.quotient if connection is not None
-          else _quotient(sigma, g0, D, basis_points))
-    directions = _delta_in_face(sigma, g0)
-    value, deriv = qb.derivatives(directions)
+    value = block.matrices
+    directions = list(value)
+    deriv = block.derivatives()
     flat = True
     symmetric = True
     commuting = True
@@ -217,8 +165,7 @@ def curvature_report(sigma, g0, D=None, basis_points=None, connection=None):
                 commuting = False
     return {"flat": flat, "pairs_checked": pairs,
             "derivative_symmetry": symmetric, "commuting": commuting,
-            "dim": len(qb.basis_points), "matrices": value,
-            "derivatives": deriv}
+            "dim": block.dim(), "matrices": value, "derivatives": deriv}
 
 
 def connection_on_hb(pair, f, g0, ctx=None):
@@ -236,7 +183,7 @@ def connection_on_hb(pair, f, g0, ctx=None):
             continue
         # g0 is certified on every face above, so only stabilization is
         # left to check
-        qb = _QuotientBasis(ctx.certified_hat_model(sigma, g0))
-        if qb.basis_points:
-            blocks[sigma.key()] = _connection(qb)
+        block = ConnectionData(ctx.certified_hat_model(sigma, g0))
+        if block.basis:
+            blocks[sigma.key()] = block
     return [blocks[k] for k in sorted(blocks)]

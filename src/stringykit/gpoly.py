@@ -10,6 +10,7 @@ dimension throughout, so one exponent step is one grading unit.
 from dataclasses import dataclass
 
 from .errors import NotEulerian
+from .lattice import interval_is_eulerian
 
 
 class IntPolynomial:
@@ -79,17 +80,6 @@ def _t_minus_1_power(k):
     return p
 
 
-def _interval_is_eulerian(poset, bottom, top):
-    elems = poset.interval(bottom, top)
-    for a in elems:
-        for b in elems:
-            if a is b or not poset.leq(a, b):
-                continue
-            if sum((-1) ** x.dim for x in poset.interval(a, b)) != 0:
-                return False
-    return True
-
-
 def g_polynomial(poset, bottom, top):
     """Stanley g-polynomial of the interval [bottom, top].
 
@@ -97,7 +87,7 @@ def g_polynomial(poset, bottom, top):
     """
     if not poset.leq(bottom, top):
         raise ValueError("not an interval: bottom is not below top")
-    if not _interval_is_eulerian(poset, bottom, top):
+    if not interval_is_eulerian(poset, bottom, top):
         raise NotEulerian("interval fails the Eulerian test")
     return _g_recursion(poset, bottom, top, {})
 
@@ -112,12 +102,7 @@ def _g_recursion(poset, bottom, top, memo):
     if d < 0:
         g = IntPolynomial.one()
     else:
-        h = IntPolynomial()
-        for x in poset.interval(bottom, top):
-            if x is top:
-                continue
-            gx = _g_recursion(poset, bottom, x, memo)
-            h = h + gx * _t_minus_1_power(d - (x.dim - bottom.dim))
+        h = _h_sum(poset, bottom, top, memo)
         # Dehn-Sommerville h_i = h_{d-i} holds on Eulerian intervals
         if any(h[i] != h[d - i] for i in range(d + 1)):
             raise NotEulerian("h-vector is not palindromic")
@@ -134,15 +119,20 @@ def h_polynomial(poset, bottom, top):
     d = top.dim - bottom.dim - 1
     if d < 0:
         return IntPolynomial.one()
-    if not _interval_is_eulerian(poset, bottom, top):
+    if not interval_is_eulerian(poset, bottom, top):
         raise NotEulerian("interval fails the Eulerian test")
+    return _h_sum(poset, bottom, top, {})
+
+
+def _h_sum(poset, bottom, top, memo):
+    """h of [bottom, top], of rank d+1: the sum over x < top of
+    g([bottom, x]) * (t-1)^(d-rho(x)), with g memoized as _g_recursion."""
+    d = top.dim - bottom.dim - 1
     h = IntPolynomial()
-    memo = {}
     for x in poset.interval(bottom, top):
-        if x is top:
-            continue
-        h = h + _g_recursion(poset, bottom, x, memo) * \
-            _t_minus_1_power(d - (x.dim - bottom.dim))
+        if x is not top:
+            h = h + _g_recursion(poset, bottom, x, memo) * \
+                _t_minus_1_power(d - (x.dim - bottom.dim))
     return h
 
 

@@ -169,6 +169,12 @@ class R1Space:
     dims: tuple          # sorted ((degree, dim), ...)
     reps: tuple          # sorted ((degree, (vector, ...)), ...)
 
+    @classmethod
+    def from_levels(cls, data):
+        """From the per-level (monomial, class) lists of _interior_image."""
+        return cls(tuple((k, len(v)) for k, v in data),
+                   tuple((k, tuple(rem for _, rem in v)) for k, v in data))
+
     def dims_dict(self):
         return {k: d for k, d in self.dims if d}
 
@@ -176,28 +182,33 @@ class R1Space:
         return sum(d for _, d in self.dims)
 
 
+def _interior_image(face, lam, D, reduce):
+    """Per degree k <= D: the interior monomials p whose classes
+    reduce(k, {p: 1}) are new, each with its class.  One echelon spans
+    all degrees, so a class counts only when it is new modulo the lower
+    levels.  The zero face has one class, of its point at degree 0, and
+    reads no reduction."""
+    if face.dim == 0:
+        zero = (0,) * face.cone.ambient_rank
+        return [(0, [(zero, {zero: 1})])]
+    img = Echelon()
+    out = []
+    for k in range(D + 1):
+        level = []
+        for p in points_at_degree(face, k, lam, interior_only=True):
+            rem = reduce(k, {p: 1})
+            if rem and img.insert(dict(rem)) is not None:
+                level.append((p, rem))
+        out.append((k, level))
+    return out
+
+
 def r1(face, f, D=None, ctx=None):
     """Image of the interior part in the quotient, degree by degree."""
     if face.dim == 0:
-        zero = (0,) * face.cone.ambient_rank
-        return R1Space(dims=((0, 1),), reps=((0, ({zero: 1},)),))
+        return R1Space.from_levels(_interior_image(face, f.lam, 0, None))
     q = quotient_dims(face, f, D, ctx)
-    img = Echelon()
-    dims = []
-    reps = []
-    for k in range(q.D + 1):
-        level_reps = []
-        before = img.rank
-        for p in points_at_degree(face, k, q.lam, interior_only=True):
-            rem = q.reduce(k, {p: 1})
-            if not rem:
-                continue
-            # supports at distinct degrees are disjoint, one echelon is fine
-            if img.insert(dict(rem)) is not None:
-                level_reps.append(rem)
-        dims.append((k, img.rank - before))
-        reps.append((k, tuple(level_reps)))
-    return R1Space(tuple(dims), tuple(reps))
+    return R1Space.from_levels(_interior_image(face, q.lam, q.D, q.reduce))
 
 
 def _hilbert_numerator(face, lam, upto):
@@ -386,24 +397,10 @@ class HatModel:
         """Per level: interior monomials and their surviving classes.
         Computed once per model, which does not change after its build."""
         if self._level_data is None:
-            self._level_data = self._scan_levels()
+            self._level_data = _interior_image(
+                self.face, self.lam, self.D,
+                lambda _, vec: self.class_reduce(vec))
         return self._level_data
-
-    def _scan_levels(self):
-        img = Echelon()
-        out = []
-        if self.face.dim == 0:
-            zero = (0,) * self.face.cone.ambient_rank
-            return [(0, [(zero, {zero: 1})])]
-        for k in range(self.D + 1):
-            level = []
-            for p in points_at_degree(self.face, k, self.lam,
-                                      interior_only=True):
-                rem = self.class_reduce({p: 1})
-                if rem and img.insert(dict(rem)) is not None:
-                    level.append((p, rem))
-            out.append((k, level))
-        return out
 
 
 def certified_hat_model(face, g, D=None, ctx=None):
@@ -430,10 +427,8 @@ def r1_hat(face, g, D=None, ctx=None):
     """Filtered interior image in the hat module, certified at two
     truncations."""
     ctx = Context() if ctx is None else ctx
-    data = ctx.certified_hat_model(face, g, D).interior_level_data()
-    dims = tuple((k, len(v)) for k, v in data)
-    reps = tuple((k, tuple(rem for _, rem in v)) for k, v in data)
-    return R1Space(dims, reps)
+    return R1Space.from_levels(
+        ctx.certified_hat_model(face, g, D).interior_level_data())
 
 
 class Context:

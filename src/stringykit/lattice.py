@@ -126,24 +126,24 @@ def span_lattice_basis(rays, n):
     return hnf_rows(integer_kernel(perp, n))
 
 
-_span_coord_cache = {}
-
-
 def span_coords_for(basis, point):
-    """Integer coordinates of a lattice point in a saturated span basis."""
-    key = (basis, point)
-    got = _span_coord_cache.get(key)
-    if got is not None:
-        return got
-    n = len(basis[0])
-    rows = [[basis[i][k] for i in range(len(basis))] for k in range(n)]
-    x = solve_exact(rows, list(point))
-    if x is None:
+    """Integer coordinates of a lattice point in a span basis from
+    hnf_rows, whose rows have increasing positive pivots: forward
+    substitution over the pivot columns.  Raises ValueError when the
+    point is not an integer combination of the rows."""
+    rest = list(point)
+    out = []
+    for row in basis:
+        c = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(rest[c], row[c])
+        if r:
+            raise ValueError("point outside the span lattice")
+        out.append(q)
+        if q:
+            rest = [x - q * y for x, y in zip(rest, row)]
+    if any(rest):
         raise ValueError("point outside the span")
-    assert all(v.denominator == 1 for v in x)
-    got = tuple(int(v) for v in x)
-    _span_coord_cache[key] = got
-    return got
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -360,14 +360,20 @@ class FacePoset:
 
     def is_eulerian(self):
         """Every interval of length >= 1 has equal even and odd rank counts."""
-        for a in self.faces:
-            for b in self.faces:
-                if not self.leq(a, b) or a is b:
-                    continue
-                s = sum((-1) ** x.dim for x in self.interval(a, b))
-                if s != 0:
-                    return False
-        return True
+        return interval_is_eulerian(self, self.zero, self.top)
+
+
+def interval_is_eulerian(poset, bottom, top):
+    """Every subinterval [a, b] of [bottom, top] with a < b has equal even
+    and odd rank counts.  Reads only the poset's leq and interval."""
+    elems = poset.interval(bottom, top)
+    for a in elems:
+        for b in elems:
+            if a is b or not poset.leq(a, b):
+                continue
+            if sum((-1) ** x.dim for x in poset.interval(a, b)) != 0:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -40,11 +40,6 @@ def vec_add(a, b, coeff=1):
             out.pop(j, None)
     return out
 
-def vec_scale(a, coeff):
-    if not coeff:
-        return {}
-    return {j: coeff * v for j, v in a.items()}
-
 
 class Echelon:
     """Reduced row echelon basis that grows by insertion.

@@ -33,11 +33,16 @@ VERIFICATION_NAMES = ("thm-key", "thm-main", "prop-maincoro", "bhiso",
                       "flatness", "maingkz")
 
 
+def _is_int(value):
+    """A JSON integer: bool is an int subclass, but true is no integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_rational(value, location):
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -108,7 +113,7 @@ def _parse_side(doc, name, default_seed):
                 or not isinstance(item[0], list)):
             raise ParseError("expected [point, value]", loc)
         point = tuple(item[0])
-        if not all(isinstance(x, int) for x in point):
+        if not all(_is_int(x) for x in point):
             raise ParseError("point coordinates must be integers", loc)
         mapping[point] = _parse_rational(item[1], loc)
     return ("explicit", mapping)
@@ -131,7 +136,7 @@ def parse_input(doc, default_seed=0):
     data = doc[kind]
     if (not isinstance(data, list) or not data
             or not all(isinstance(row, list) and row
-                       and all(isinstance(x, int) for x in row)
+                       and all(_is_int(x) for x in row)
                        for row in data)):
         raise ParseError("expected a nonempty list of integer vectors", kind)
     if len(set(len(row) for row in data)) != 1:
@@ -149,10 +154,10 @@ def parse_input(doc, default_seed=0):
         verify = list(VERIFICATION_NAMES)
     max_degree = doc.get("max_degree", 6)
     n_cap = doc.get("n_cap", 8)
-    if not isinstance(max_degree, int) or max_degree < 1:
+    if not _is_int(max_degree) or max_degree < 1:
         raise ParseError("max_degree must be a positive integer",
                          "max_degree")
-    if not isinstance(n_cap, int) or n_cap < 2:
+    if not _is_int(n_cap) or n_cap < 2:
         raise ParseError("n_cap must be an integer >= 2", "n_cap")
     return JobSpec(
         cone_kind=kind,
@@ -305,7 +310,7 @@ def _verify_flatness(ctx, job):
             out.append({"face_dim": block.sigma.dim, "dim": block.dim(),
                         "parameters": 0, "flat": True})
             continue
-        rep = curvature_report(block.sigma, g, connection=block)
+        rep = curvature_report(block)
         if not rep["flat"]:
             verdict = "fail"
         out.append({

@@ -20,7 +20,7 @@ from .errors import TruncationTooSmall
 from .gpoly import ih_dims
 from .koszul import _contract, _wedge
 from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
-from .linalg import Echelon, exact_rank, kernel_basis
+from .linalg import Echelon, SparseBasis, exact_rank, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -407,11 +407,6 @@ class MinimalSheaf:
         return out
 
 
-def minimal_sheaf(fan, origin, D):
-    """Public constructor mirroring the build recursion."""
-    return MinimalSheaf(fan, origin, D)
-
-
 class SheafSections:
     """Global sections W over the fan, bigraded, with the module action
     of the 2r global linear functions."""
@@ -430,30 +425,23 @@ class SheafSections:
         return self._layouts[(a, b)]
 
     def basis(self, a, b):
+        """The SparseBasis of W in bidegree (a, b)."""
         key = (a, b)
         got = self._bases.get(key)
         if got is None:
             layout, vectors = self.sheaf.compatible_sections(
                 self.maxcells, a, b)
-            ech = Echelon()
-            for v in vectors:
-                ech.insert(dict(v))
-            rows = ech.basis_rows()
-            pivots = ech.pivot_columns()
-            got = (rows, pivots, ech)
+            got = SparseBasis(vectors)
             self._bases[key] = got
             self._layouts[key] = layout
         return got
 
     def dim(self, a, b):
-        return len(self.basis(a, b)[0])
+        return len(self.basis(a, b))
 
     def coords(self, a, b, vec):
-        rows, pivots, ech = self.basis(a, b)
-        out = [vec.get(p, 0) for p in pivots]
-        rem, _ = ech.reduce(vec)
-        assert not rem, "vector is not a global section"
-        return out
+        """Coordinates of a global section; ValueError outside W."""
+        return self.basis(a, b).coords(vec)
 
     def act_linear(self, side, coeff_fn, a, b, vec_row):
         """Multiply a section by a global linear function given, per max
@@ -480,11 +468,6 @@ def build_w(fan, origin, D):
     return SheafSections(MinimalSheaf(fan, origin, D))
 
 
-def standard_dual_bases(r):
-    basis = [tuple(1 if i == j else 0 for j in range(r)) for i in range(r)]
-    return basis, basis
-
-
 class BigradedComplex:
     """(W tensor Lambda* N, d) split by the preserved grading
     gr = deg_x - deg_y + Lambda-degree; d raises s = deg_x + deg_y by 1."""
@@ -493,7 +476,9 @@ class BigradedComplex:
         self.W = sections
         self.r = sections.fan.rank
         if dual_bases is None:
-            dual_bases = standard_dual_bases(self.r)
+            unit = [tuple(int(i == j) for j in range(self.r))
+                    for i in range(self.r)]
+            dual_bases = (unit, unit)
         self.m_basis, self.n_basis = dual_bases
         self._check_dual(self.m_basis, self.n_basis)
         self.D = sections.D
@@ -530,11 +515,10 @@ class BigradedComplex:
         key = (i, a, b)
         got = self._xmat.get(key)
         if got is None:
-            rows, _, _ = self.W.basis(a, b)
             fn = self._x_coeffs(i)
             got = [self.W.coords(a + 1, b,
                                  self.W.act_linear(0, fn, a, b, row))
-                   for row in rows]
+                   for row in self.W.basis(a, b).rows]
             self._xmat[key] = got
         return got
 
@@ -542,11 +526,10 @@ class BigradedComplex:
         key = (i, a, b)
         got = self._ymat.get(key)
         if got is None:
-            rows, _, _ = self.W.basis(a, b)
             fn = self._y_coeffs(i)
             got = [self.W.coords(a, b + 1,
                                  self.W.act_linear(1, fn, a, b, row))
-                   for row in rows]
+                   for row in self.W.basis(a, b).rows]
             self._ymat[key] = got
         return got
 
@@ -624,10 +607,6 @@ class BigradedComplex:
                 if dim or h:
                     out[(gr, s)] = h
         return out
-
-
-def koszul_differential_on_w(sections, dual_bases=None):
-    return BigradedComplex(sections, dual_bases)
 
 
 def verify_theorem_key(cone, D=6):

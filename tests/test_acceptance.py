@@ -151,8 +151,7 @@ def test_criterion_6_maingkz_flatness():
         for block in blocks:
             if not block.matrices:
                 continue
-            rep = curvature_report(block.sigma, g,
-                                   basis_points=list(block.basis))
+            rep = curvature_report(block)
             assert rep["flat"], (seed, block.sigma, rep)
             blocks_seen += 1
     assert blocks_seen == 3

@@ -8,9 +8,8 @@ import pytest
 import sympy
 
 from stringykit.errors import DegenerateCoefficients
-from stringykit.gkz import (basis_select, connection_data, connection_on_hb,
-                            curvature_report, flatness_check,
-                            multiplication_matrix, _QuotientBasis)
+from stringykit.gkz import (ConnectionData, connection_data,
+                            connection_on_hb, curvature_report)
 from stringykit.jacobian import (HatModel, coefficient_function, r1_hat,
                                  random_coefficients)
 from stringykit.koszul import hb_assemble
@@ -45,14 +44,14 @@ def test_basis_select_zero_face():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=1)
     zero = pair.dual_poset().zero
-    assert basis_select(zero, g) == [(0, 0, 0)]
+    assert connection_data(zero, g).basis == ((0, 0, 0),)
 
 
 def test_basis_select_p2_dual():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=1)
     sigma = pair.dual_poset().top
-    basis = basis_select(sigma, g)
+    basis = connection_data(sigma, g).basis
     assert len(basis) == 2
     # one monomial per filtration level
     from stringykit.lattice import dot
@@ -63,14 +62,14 @@ def test_basis_survives_perturbation():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=1)
     sigma = pair.dual_poset().top
-    basis = basis_select(sigma, g)
+    basis = connection_data(sigma, g).basis
     vals = dict(g.values)
     first = next(iter(vals))
     vals[first] = vals[first] + Fraction(1, 7)
     g2 = coefficient_function(pair, "g", vals)
     # re-certify: the same monomials still give a basis at the new point
-    qb = _QuotientBasis(HatModel(sigma, g2, sigma.dim + 2), basis)
-    assert len(qb.basis_points) == 2
+    block = ConnectionData(HatModel(sigma, g2, sigma.dim + 2), basis)
+    assert len(block.basis) == 2
 
 
 def test_segment_matrices_frozen_oracle():
@@ -82,9 +81,9 @@ def test_segment_matrices_frozen_oracle():
     sigma = pair.dual_poset().top
     cd = connection_data(sigma, g)
     assert cd.basis == ((0, 1),)
-    assert multiplication_matrix(cd, (0, 1)) == [[Fraction(1, 3)]]
-    assert multiplication_matrix(cd, (1, 1)) == [[Fraction(-2, 3)]]
-    assert multiplication_matrix(cd, (-1, 1)) == [[Fraction(-2, 3)]]
+    assert cd.matrices[(0, 1)] == [[Fraction(1, 3)]]
+    assert cd.matrices[(1, 1)] == [[Fraction(-2, 3)]]
+    assert cd.matrices[(-1, 1)] == [[Fraction(-2, 3)]]
     # and their derivatives, differentiated symbolically, in all three
     # directions: the derivatives come from the reduction, not from the
     # curvature identity
@@ -93,7 +92,7 @@ def test_segment_matrices_frozen_oracle():
     closed = {(0, 1): -g0 / disc, (1, 1): 2 * gm / disc,
               (-1, 1): 2 * gp / disc}
     symbol = {(-1, 1): gm, (0, 1): g0, (1, 1): gp}
-    deriv = curvature_report(sigma, g)["derivatives"]
+    deriv = curvature_report(cd)["derivatives"]
     at = {gm: 1, g0: 1, gp: 1}
     for n, var in symbol.items():
         for nprime, expr in closed.items():
@@ -123,7 +122,7 @@ def test_segment_flatness_and_symmetry():
     seed, value, deriv = frozen_connection("segment")
     g = random_coefficients(pair, "g", seed=seed)
     sigma = pair.dual_poset().top
-    rep = curvature_report(sigma, g)
+    rep = curvature_report(connection_data(sigma, g))
     assert rep["flat"]
     assert rep["derivative_symmetry"]
     assert rep["commuting"]
@@ -135,8 +134,8 @@ def test_flatness_check_equal_directions():
     pair = segment_pair()
     g = random_coefficients(pair, "g", seed=4)
     sigma = pair.dual_poset().top
-    n = (0, 1)
-    assert flatness_check(sigma, g, n, n)
+    # the pair (n, n) is among the pairs the report checks
+    assert curvature_report(connection_data(sigma, g))["flat"]
 
 
 def test_p2_curvature_identity_exact():
@@ -144,7 +143,7 @@ def test_p2_curvature_identity_exact():
     seed, value, deriv = frozen_connection("p2")
     g = random_coefficients(pair, "g", seed=seed)
     sigma = pair.dual_poset().top
-    rep = curvature_report(sigma, g)
+    rep = curvature_report(connection_data(sigma, g))
     assert rep["flat"]
     assert rep["dim"] == 2
     # entry by entry against the frozen Q[eps] derivatives
@@ -160,8 +159,8 @@ def test_p2_flatness_check_single_pair():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=2)
     sigma = pair.dual_poset().top
-    delta = sorted(g.domain())
-    assert flatness_check(sigma, g, delta[0], delta[1])
+    # the pair (delta[0], delta[1]) is among the pairs the report checks
+    assert curvature_report(connection_data(sigma, g))["flat"]
 
 
 def test_connection_blocks_match_hb_summands():
@@ -187,4 +186,4 @@ def test_degenerate_base_point_rejected():
     vals = {p: 0 for p in pair.delta_dual()}
     g0 = coefficient_function(pair, "g", vals)
     with pytest.raises(DegenerateCoefficients):
-        basis_select(pair.dual_poset().top, g0)
+        connection_data(pair.dual_poset().top, g0)

@@ -260,3 +260,10 @@ def test_span_coords_integral():
                     sum(c * b[j] for c, b in zip(coords, face.span_basis))
                     for j in range(3))
                 assert rebuilt == p
+        # span(face) meets the cone in the face, so a degree-one point
+        # of the cone off the face is outside its span
+        if face.dim < 3:
+            on_face = set(points_at_degree(face, 1, lam))
+            off = next(p for p in pair.delta() if p not in on_face)
+            with pytest.raises(ValueError):
+                span_coords(face, off)

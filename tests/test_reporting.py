@@ -59,6 +59,15 @@ def test_parse_errors():
         parse_input({"rays": [[1, 0], [0, 1]], "f": "random:seed=x"})
     with pytest.raises(ParseError):
         parse_input({"rays": [[1, 0], [0, 1]], "f": [[[1, 0], "1/0"]]})
+    # JSON true and false are no integers, though bool subclasses int
+    for doc in ({"rays": [[True, False], [False, True]]},
+                {"polytope_vertices": [[-1], [True]]},
+                {"rays": [[1, 0], [0, 1]], "max_degree": True},
+                {"rays": [[1, 0], [0, 1]], "n_cap": True},
+                {"rays": [[1, 0], [0, 1]], "g": [[[0, 1], True]]},
+                {"rays": [[1, 0], [0, 1]], "g": [[[False, 1], 1]]}):
+        with pytest.raises(ParseError):
+            parse_input(doc)
 
 
 def test_coefficient_point_outside_delta():

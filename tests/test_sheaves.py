@@ -64,6 +64,9 @@ def test_w_dims_r1_hand_values():
     for a in range(1, 4):
         for b in range(1, 4):
             assert w.dim(a, b) == 0
+    # W vanishes in bidegree (1, 1), so a nonzero vector lies outside it
+    with pytest.raises(ValueError):
+        w.coords(1, 1, {0: 1})
 
 
 def test_w_dims_quadrant_monomial_count():
