@@ -10,8 +10,8 @@ desk-scale examples, entirely in rational arithmetic.
 from .gkz import connection_data, connection_on_hb, curvature_report
 from .gpoly import g_polynomial, ih_dims, verify_degree_bounds
 from .jacobian import (CoefficientFunction, Context, coefficient_function,
-                       hat_action, is_nondegenerate, log_derivative_elements,
-                       quotient_dims, r1, r1_hat, random_coefficients)
+                       hat_action, log_derivative_elements,
+                       random_coefficients)
 from .koszul import (cohomology_d, cohomology_dhat, cohomology_ha, d_matrix,
                      decomposition_dims, dhat_matrix, hb_assemble, v_basis)
 from .lattice import (Cone, Face, FacePoset, GorensteinPair, cone_from_rays,
@@ -28,8 +28,8 @@ __all__ = [
     "cohomology_dhat", "cohomology_ha", "cone_from_rays", "cone_over_polytope",
     "connection_data", "connection_on_hb", "curvature_report", "d_matrix",
     "decomposition_dims", "dhat_matrix", "dual_cone", "dual_face", "faces",
-    "g_polynomial", "hat_action", "hb_assemble", "ih_dims", "is_nondegenerate",
+    "g_polynomial", "hat_action", "hb_assemble", "ih_dims",
     "log_derivative_elements", "make_gorenstein_pair", "points_at_degree",
-    "quotient_dims", "r1", "r1_hat", "random_coefficients", "v_basis",
+    "random_coefficients", "v_basis",
     "verify_degree_bounds", "verify_prop_maincoro", "verify_theorem_key",
 ]

@@ -13,26 +13,18 @@ itself (``HatModel.row_derivatives``), never from the identity they are
 checked against.
 
 A block is a ``ConnectionData``, read from one hat model.
-``connection_data(sigma, g0)`` certifies g0 on the face and builds the
-block from its certified hat model; ``connection_on_hb`` takes the
-models, with R1 and the certificates of f and g, from its ``ctx`` (a
+``connection_data(sigma, g0)`` certifies g0 on every face of sigma
+(``Context.face_is_nondegenerate``) and builds the block from
+``Context.hat_model``; ``connection_on_hb`` takes the models, with R1
+and the certificates of f and g, from its ``ctx`` (a
 ``jacobian.Context``), so a job builds each one once.
 ``curvature_report(block)`` checks the identity on a block.
 """
 
 from .errors import DegenerateCoefficients, TruncationTooSmall
-from .jacobian import Context, _delta_in_face, face_is_nondegenerate
+from .jacobian import Context, _delta_in_face
 from .lattice import dot, dual_face, faces, padd
 from .linalg import Echelon, vec_add
-
-
-def _certify_face(face, g, ctx):
-    poset = faces(face.cone)
-    for sub in poset:
-        if poset.leq(sub, face) and not face_is_nondegenerate(sub, g, ctx):
-            raise DegenerateCoefficients(
-                "coefficients degenerate on a face of dimension %d"
-                % sub.dim)
 
 
 def _transpose(cols):
@@ -53,7 +45,7 @@ class ConnectionData:
         self.sigma, self.g0 = model.face, model.g
         if basis_points is None:
             basis_points = [p for _, level in model.interior_level_data()
-                            for p, _ in level]
+                            for p in level]
         self.basis = tuple(basis_points)
         self._coords = Echelon()
         for i, p in enumerate(self.basis):
@@ -119,8 +111,13 @@ def connection_data(sigma, g0):
     """The block of one face at g0, after certifying g0 on every face
     of sigma; raises DegenerateCoefficients when g0 fails."""
     ctx = Context()
-    _certify_face(sigma, g0, ctx)
-    return ConnectionData(ctx.certified_hat_model(sigma, g0))
+    poset = faces(sigma.cone)
+    for sub in poset:
+        if poset.leq(sub, sigma) and not ctx.face_is_nondegenerate(sub, g0):
+            raise DegenerateCoefficients(
+                "coefficients degenerate on a face of dimension %d"
+                % sub.dim)
+    return ConnectionData(ctx.hat_model(sigma, g0))
 
 
 def _mat_sub(a, b):
@@ -183,7 +180,7 @@ def connection_on_hb(pair, f, g0, ctx=None):
             continue
         # g0 is certified on every face above, so only stabilization is
         # left to check
-        block = ConnectionData(ctx.certified_hat_model(sigma, g0))
+        block = ConnectionData(ctx.hat_model(sigma, g0))
         if block.basis:
             blocks[sigma.key()] = block
     return [blocks[k] for k in sorted(blocks)]

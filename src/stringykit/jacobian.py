@@ -5,10 +5,11 @@ Ring elements are sparse dicts keyed by lattice points.  All quotients
 are handled degree by degree through echelon bases, so dimensions and
 canonical representatives come out of the same computation.
 
-A ``Context`` holds one job's per-face objects (graded quotients, R1
-spaces, certified hat models, certificates), so each is built once per
-job.  Every function that reads them takes an optional ``ctx``; without
-one it builds a throwaway context and does the same work.
+A ``Context`` is the one way to a per-face object: its methods
+``quotient``, ``r1``, ``face_is_nondegenerate``, ``is_nondegenerate``,
+``hat_model``, ``r1_hat`` and ``certify`` build graded quotients, R1
+spaces, certified hat models and certificates once per job.  A caller
+without a job builds a throwaway ``Context()``.
 """
 
 import random
@@ -121,31 +122,27 @@ def log_derivative_elements(face, f):
 
 
 class GradedQuotient:
-    """C[face]/I_{f,face} truncated at degree D, with reduction maps."""
+    """C[face]/I_{f,face} truncated at degree D = dim(face) + 2, with
+    reduction maps."""
 
-    def __init__(self, face, f, D, generators=None):
-        self.face = face
-        self.f = f
-        self.D = D
-        self.lam = f.lam
+    def __init__(self, face, f, generators=None):
+        self.D = face.dim + 2
         gens = log_derivative_elements(face, f) \
             if generators is None else generators
-        self.generators = gens
-        self.points = {k: points_at_degree(face, k, self.lam)
-                       for k in range(D + 1)}
+        points = {k: points_at_degree(face, k, f.lam)
+                  for k in range(self.D + 1)}
         self._ideal = {}
         self.dims = {}
-        for k in range(D + 1):
+        for k in range(self.D + 1):
             ech = Echelon()
             if k >= 1:
-                for c in self.points[k - 1]:
+                for c in points[k - 1]:
                     for gen in gens:
                         vec = {padd(m, c): v for m, v in gen.items()}
                         if vec:
                             ech.insert(vec)
             self._ideal[k] = ech
-            self.dims[k] = len(self.points[k]) - ech.rank
-        self.ideal_dims = {k: self._ideal[k].rank for k in range(D + 1)}
+            self.dims[k] = len(points[k]) - ech.rank
 
     def reduce(self, k, vec):
         """Canonical representative of vec modulo I_k."""
@@ -153,27 +150,15 @@ class GradedQuotient:
         return rem
 
 
-def quotient_dims(face, f, D=None, ctx=None):
-    """Graded quotient of the face's semigroup ring by the log-derivative
-    ideal; D defaults to dim(face) + 2."""
-    if D is None:
-        D = face.dim + 2
-    if D < face.dim + 2:
-        raise ValueError("need D >= dim + 2")
-    return (Context() if ctx is None else ctx).quotient(face, f, D)
-
-
 @dataclass(frozen=True)
 class R1Space:
-    """Graded dimensions and representatives of the interior image."""
+    """Graded dimensions of the interior image."""
     dims: tuple          # sorted ((degree, dim), ...)
-    reps: tuple          # sorted ((degree, (vector, ...)), ...)
 
     @classmethod
     def from_levels(cls, data):
-        """From the per-level (monomial, class) lists of _interior_image."""
-        return cls(tuple((k, len(v)) for k, v in data),
-                   tuple((k, tuple(rem for _, rem in v)) for k, v in data))
+        """From the per-level monomial lists of _interior_image."""
+        return cls(tuple((k, len(v)) for k, v in data))
 
     def dims_dict(self):
         return {k: d for k, d in self.dims if d}
@@ -184,31 +169,22 @@ class R1Space:
 
 def _interior_image(face, lam, D, reduce):
     """Per degree k <= D: the interior monomials p whose classes
-    reduce(k, {p: 1}) are new, each with its class.  One echelon spans
-    all degrees, so a class counts only when it is new modulo the lower
-    levels.  The zero face has one class, of its point at degree 0, and
-    reads no reduction."""
+    reduce(k, {p: 1}) are new.  One echelon spans all degrees, so a
+    class counts only when it is new modulo the lower levels.  The zero
+    face has one class, of its point at degree 0, and reads no
+    reduction."""
     if face.dim == 0:
-        zero = (0,) * face.cone.ambient_rank
-        return [(0, [(zero, {zero: 1})])]
+        return [(0, [(0,) * face.cone.ambient_rank])]
     img = Echelon()
     out = []
     for k in range(D + 1):
         level = []
         for p in points_at_degree(face, k, lam, interior_only=True):
             rem = reduce(k, {p: 1})
-            if rem and img.insert(dict(rem)) is not None:
-                level.append((p, rem))
+            if rem and img.insert(rem) is not None:
+                level.append(p)
         out.append((k, level))
     return out
-
-
-def r1(face, f, D=None, ctx=None):
-    """Image of the interior part in the quotient, degree by degree."""
-    if face.dim == 0:
-        return R1Space.from_levels(_interior_image(face, f.lam, 0, None))
-    q = quotient_dims(face, f, D, ctx)
-    return R1Space.from_levels(_interior_image(face, q.lam, q.D, q.reduce))
 
 
 def _hilbert_numerator(face, lam, upto):
@@ -229,26 +205,6 @@ def _hilbert_numerator(face, lam, upto):
     return out
 
 
-def face_is_nondegenerate(face, f, ctx=None):
-    """Artinian certificate on one face: the quotient vanishes in degrees
-    dim+1 and dim+2 and matches the Hilbert numerator through degree dim.
-    It reads the same quotient as r1(face, f)."""
-    d = face.dim
-    q = quotient_dims(face, f, d + 2, ctx)
-    if q.dims[d + 1] != 0 or q.dims[d + 2] != 0:
-        return False
-    numer = _hilbert_numerator(face, f.lam, d)
-    return all(q.dims[k] == numer[k] for k in range(d + 1))
-
-
-def is_nondegenerate(pair, f, ctx=None):
-    """Nondegeneracy of a coefficient function: every face of its cone
-    passes the Artinian/Hilbert-series certificate."""
-    ctx = Context(pair) if ctx is None else ctx
-    poset = faces(f.cone)
-    return all(face_is_nondegenerate(face, f, ctx) for face in poset)
-
-
 @dataclass(frozen=True)
 class HatModuleElement:
     """Finite rational combination of hat-monomials supported on a face."""
@@ -257,9 +213,6 @@ class HatModuleElement:
 
     def mapping(self):
         return dict(self.coeffs)
-
-    def level(self, lam):
-        return max((dot(p, lam) for p, _ in self.coeffs), default=-1)
 
     @classmethod
     def monomial(cls, face, point, value=1):
@@ -394,8 +347,8 @@ class HatModel:
         return ech.shadows
 
     def interior_level_data(self):
-        """Per level: interior monomials and their surviving classes.
-        Computed once per model, which does not change after its build."""
+        """Per level: the interior monomials with a new class.  Computed
+        once per model, which does not change after its build."""
         if self._level_data is None:
             self._level_data = _interior_image(
                 self.face, self.lam, self.D,
@@ -403,45 +356,16 @@ class HatModel:
         return self._level_data
 
 
-def certified_hat_model(face, g, D=None, ctx=None):
-    """The HatModel at truncation D, certified against the graded
-    computation (per filtration level) at truncations D and D-1."""
-    if D is None:
-        D = face.dim + 2
-    if D < face.dim + 2:
-        raise ValueError("need D >= dim + 2")
-    oracle = (Context() if ctx is None else ctx).r1(face, g).dims_dict()
-    models = {}
-    for trunc in (D, D - 1):
-        model = HatModel(face, g, trunc)
-        level_dims = {k: len(v) for k, v in model.interior_level_data() if v}
-        if level_dims != oracle:
-            raise StabilizationFailed(
-                "hat dims %r at truncation %d do not match graded dims %r"
-                % (level_dims, trunc, oracle))
-        models[trunc] = model
-    return models[D]
-
-
-def r1_hat(face, g, D=None, ctx=None):
-    """Filtered interior image in the hat module, certified at two
-    truncations."""
-    ctx = Context() if ctx is None else ctx
-    return R1Space.from_levels(
-        ctx.certified_hat_model(face, g, D).interior_level_data())
-
-
 class Context:
     """One job's state: the pair, its coefficient functions f and g, and
-    a memo of per-face objects keyed by (face, coefficient function, D).
+    a memo of per-face objects keyed by (face, coefficient function).
 
-    ``r1``, ``r1_hat``, ``certified_hat_model`` and ``is_nondegenerate``
-    return what the module-level function of the same name returns for
-    this context, calling it on the first request only.  A call that
-    raises stores nothing, so it raises again on every request.  A
-    quotient stays only while a later call can read it: r1 is its last
-    reader, and a function that fails the certificate is never read
-    again.  The memo dies with the context.
+    The context is the one builder of per-face objects: each is built on
+    its first request only.  A call that raises stores nothing, so it
+    raises again on every request.  A quotient stays only while a later
+    call can read it: r1 is its last reader, and a function that fails
+    the certificate is never read again.  The memo dies with the
+    context.
     """
 
     def __init__(self, pair=None):
@@ -456,35 +380,69 @@ class Context:
             self._memo[key] = got
         return got
 
-    def quotient(self, face, f, D):
-        """The GradedQuotient of the face at truncation D."""
-        return self._get(("quotient", face, f, D),
-                         lambda: GradedQuotient(face, f, D))
+    def quotient(self, face, f):
+        """The GradedQuotient of the face by the log-derivative ideal."""
+        return self._get(("quotient", face, f),
+                         lambda: GradedQuotient(face, f))
 
-    def r1(self, face, f, D=None):
-        D = face.dim + 2 if D is None else D
-        got = self._get(("r1", face, f, D), lambda: r1(face, f, D, self))
-        self._memo.pop(("quotient", face, f, D), None)
+    def r1(self, face, f):
+        """Image of the interior part in the quotient, degree by degree.
+        The zero face builds no quotient."""
+        def build():
+            if face.dim == 0:
+                return R1Space.from_levels(_interior_image(face, f.lam, 0,
+                                                           None))
+            q = self.quotient(face, f)
+            return R1Space.from_levels(
+                _interior_image(face, f.lam, q.D, q.reduce))
+        got = self._get(("r1", face, f), build)
+        self._memo.pop(("quotient", face, f), None)
         return got
 
-    def certified_hat_model(self, face, g, D=None):
-        D = face.dim + 2 if D is None else D
-        return self._get(("hat", face, g, D),
-                         lambda: certified_hat_model(face, g, D, self))
-
-    def r1_hat(self, face, g, D=None):
-        D = face.dim + 2 if D is None else D
-        return self._get(("r1_hat", face, g, D),
-                         lambda: r1_hat(face, g, D, self))
+    def face_is_nondegenerate(self, face, f):
+        """Artinian certificate on one face: the quotient vanishes in
+        degrees dim+1 and dim+2 and matches the Hilbert numerator through
+        degree dim.  It reads the same quotient as r1(face, f)."""
+        d = face.dim
+        q = self.quotient(face, f)
+        if q.dims[d + 1] != 0 or q.dims[d + 2] != 0:
+            return False
+        numer = _hilbert_numerator(face, f.lam, d)
+        return all(q.dims[k] == numer[k] for k in range(d + 1))
 
     def is_nondegenerate(self, fn):
-        ok = self._get(("nondegenerate", fn),
-                       lambda: is_nondegenerate(self.pair, fn, self))
+        """Nondegeneracy of a coefficient function: every face of its
+        cone passes the Artinian/Hilbert-series certificate."""
+        ok = self._get(("nondegenerate", fn), lambda: all(
+            self.face_is_nondegenerate(face, fn) for face in faces(fn.cone)))
         if not ok:
             for key in [k for k in self._memo
                         if k[0] == "quotient" and k[2] == fn]:
                 del self._memo[key]
         return ok
+
+    def hat_model(self, face, g):
+        """The HatModel at truncation dim+2, certified against the graded
+        R1 (per filtration level) at truncations dim+2 and dim+1."""
+        def build():
+            oracle = self.r1(face, g).dims_dict()
+            models = []
+            for D in (face.dim + 2, face.dim + 1):
+                model = HatModel(face, g, D)
+                level_dims = {k: len(v)
+                              for k, v in model.interior_level_data() if v}
+                if level_dims != oracle:
+                    raise StabilizationFailed(
+                        "hat dims %r at truncation %d do not match graded "
+                        "dims %r" % (level_dims, D, oracle))
+                models.append(model)
+            return models[0]
+        return self._get(("hat", face, g), build)
+
+    def r1_hat(self, face, g):
+        """Filtered interior image in the certified hat model."""
+        return R1Space.from_levels(
+            self.hat_model(face, g).interior_level_data())
 
     def certify(self, f, g):
         """Raise DegenerateCoefficients unless f and g pass the

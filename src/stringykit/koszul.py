@@ -16,8 +16,8 @@ R1/R1-hat assembly oracle certify the result.
 
 Each entry point certifies f and g through its ``ctx`` (a
 ``jacobian.Context``), which does so once per job; the assemblies read
-R1 and R1-hat from the same context.  Without a context, one is built
-for the call.
+R1 and R1-hat from the same context (``Context.r1``, ``Context.r1_hat``).
+Without a context, one is built for the call.
 """
 
 from dataclasses import dataclass

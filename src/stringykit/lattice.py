@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import (DegeneratePolytope, NotFullDimensional, NotGorenstein,
                      NotPointed, UnboundedSlice)
-from .linalg import exact_rank, solve_exact
+from .linalg import exact_rank
 
 
 def dot(a, b):
@@ -173,15 +173,13 @@ def _simplicial_seed(rays, n):
 
 
 def _dual_basis(seed, n):
-    """Primitive h_j with <seed_i, h_j> = delta_ij."""
+    """Primitive h_j with <seed_i, h_j> = 0 for i != j and
+    <seed_j, h_j> > 0: the one primitive kernel vector of the other
+    seed rays, signed."""
     out = []
     for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        x = solve_exact([list(s) for s in seed], rhs)
-        den = 1
-        for v in x:
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append(primitive(tuple(int(v * den) for v in x)))
+        (h,) = integer_kernel([s for i, s in enumerate(seed) if i != j], n)
+        out.append(h if dot(seed[j], h) > 0 else tuple(-x for x in h))
     return out
 
 
@@ -383,11 +381,17 @@ def faces(cone):
 
 
 def _solve_height_one(rays):
-    """Integral x with <ray, x> = 1 for all rays, or None."""
-    x = solve_exact([list(r) for r in rays], [1] * len(rays))
-    if x is None or any(v.denominator != 1 for v in x):
+    """Integral x with <ray, x> = 1 for all rays, or None.
+
+    The kernel of the rows (ray, -1) holds the (x, t) with <ray, x> = t.
+    The system has an integral solution exactly when that kernel is one
+    primitive vector with t = +-1; the solution is then t x.
+    """
+    ker = integer_kernel([tuple(r) + (-1,) for r in rays], len(rays[0]) + 1)
+    if len(ker) != 1 or abs(ker[0][-1]) != 1:
         return None
-    return tuple(int(v) for v in x)
+    t = ker[0][-1]
+    return tuple(t * v for v in ker[0][:-1])
 
 
 @dataclass(frozen=True)
@@ -412,9 +416,6 @@ class GorensteinPair:
         if cone == self.dual:
             return self.deg
         raise ValueError("cone does not belong to this pair")
-
-    def height(self, cone, point):
-        return dot(point, self.grading(cone))
 
     def delta(self):
         """Degree-one points of K (the support of f)."""

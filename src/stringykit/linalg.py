@@ -283,41 +283,3 @@ def exact_rank(rows):
                 del mat[i]
     return rank
 
-
-def solve_exact(rows, rhs):
-    """Solve the linear system rows * x = rhs over Q.
-
-    rows: list of dense coefficient sequences, rhs: sequence.  Returns a
-    tuple of Fractions if a unique solution exists, None if inconsistent.
-    Raises ValueError when the solution is not unique.
-    """
-    m = len(rows)
-    if m == 0:
-        raise ValueError("empty system")
-    n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(rows)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        p = next((i for i in range(r, m) if aug[i][c]), None)
-        if p is None:
-            continue
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    if r < n:
-        raise ValueError("underdetermined system")
-    x = [Fraction(0)] * n
-    for i, c in enumerate(piv_cols):
-        x[c] = aug[i][n]
-    return tuple(x)

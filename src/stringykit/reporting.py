@@ -19,8 +19,7 @@ from fractions import Fraction
 from .errors import (DegenerateCoefficients, ParseError, StringyKitError,
                      ValidationError)
 from .gkz import connection_on_hb, curvature_report
-from .jacobian import (Context, coefficient_function, quotient_dims,
-                       random_coefficients)
+from .jacobian import Context, coefficient_function, random_coefficients
 from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
                      hb_assemble)
 from .lattice import (cone_from_rays, cone_over_polytope,
@@ -416,13 +415,12 @@ def hilbert_tables(job):
                              ("dual", ctx.pair.dual_poset(), ctx.g)):
         faces_out = []
         for face in poset:
-            q = quotient_dims(face, fn, ctx=ctx)
-            counts = [len(points_at_degree(face, k, fn.lam))
-                      for k in range(face.dim + 3)]
+            q = ctx.quotient(face, fn)
             faces_out.append({
                 "dim": face.dim,
-                "point_counts": counts,
-                "quotient_dims": [q.dims[k] for k in range(face.dim + 3)],
+                "point_counts": [len(points_at_degree(face, k, fn.lam))
+                                 for k in range(q.D + 1)],
+                "quotient_dims": [q.dims[k] for k in range(q.D + 1)],
             })
         sides.append({"side": label, "faces": faces_out})
     return {"schema_version": SCHEMA_VERSION, "job": job.echo(),

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .errors import TruncationTooSmall
 from .gpoly import ih_dims
-from .koszul import _contract, _wedge
+from .koszul import _add, _contract, _wedge
 from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
 from .linalg import Echelon, SparseBasis, exact_rank, kernel_basis
 
@@ -88,21 +88,15 @@ class FanSpace:
         return sorted(out, key=lambda c: c.key())
 
 
-def _monomials(nvars, total):
-    if nvars == 0:
-        return [()] if total == 0 else []
-    if total == 0:
-        return [(0,) * nvars]
-    out = []
-    for first in range(total + 1):
-        for rest in _monomials(nvars - 1, total - first):
-            out.append((first,) + rest)
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
-def _monomials_cached(nvars, total):
-    return tuple(_monomials(nvars, total))
+def _monomials(nvars, total):
+    """Exponent vectors of the monomials of one degree, sorted."""
+    if nvars == 0:
+        return ((),) if total == 0 else ()
+    if total == 0:
+        return ((0,) * nvars,)
+    return tuple(sorted((first,) + rest for first in range(total + 1)
+                        for rest in _monomials(nvars - 1, total - first)))
 
 
 class MinimalSheaf:
@@ -143,8 +137,8 @@ class MinimalSheaf:
         for gi, (p, q) in enumerate(self.gens.get(cell.key(), ())):
             if a < p or b < q:
                 continue
-            for um in _monomials_cached(xd, a - p):
-                for vm in _monomials_cached(yd, b - q):
+            for um in _monomials(xd, a - p):
+                for vm in _monomials(yd, b - q):
                     out.append((um, vm, gi))
         out = tuple(sorted(out, key=lambda e: (e[2], e[0], e[1])))
         self._basis_cache[key] = (out, {e: i for i, e in enumerate(out)})
@@ -482,8 +476,7 @@ class BigradedComplex:
         self.m_basis, self.n_basis = dual_bases
         self._check_dual(self.m_basis, self.n_basis)
         self.D = sections.D
-        self._xmat = {}
-        self._ymat = {}
+        self._mats = {}
         self._rank_cache = {}
 
     @staticmethod
@@ -493,44 +486,23 @@ class BigradedComplex:
                 if dot(m, n) != (1 if i == j else 0):
                     raise ValueError("bases are not dual")
 
-    def _x_coeffs(self, i):
-        n_i = self.n_basis[i]
-
-        def fn(cell):
-            sb = cell.theta.span_basis
-            return tuple((k, dot(bv, n_i)) for k, bv in enumerate(sb)
-                         if dot(bv, n_i))
-        return fn
-
-    def _y_coeffs(self, i):
-        m_i = self.m_basis[i]
-
-        def fn(cell):
-            sb = cell.sigma.span_basis
-            return tuple((k, dot(m_i, bv)) for k, bv in enumerate(sb)
-                         if dot(m_i, bv))
-        return fn
-
-    def xmat(self, i, a, b):
-        key = (i, a, b)
-        got = self._xmat.get(key)
+    def action(self, side, i, a, b):
+        """Rows of the i-th global function of a side on W_(a, b): side 0
+        is n_i on the theta spans, into W_(a+1, b); side 1 is m_i on the
+        sigma spans, into W_(a, b+1)."""
+        key = (side, i, a, b)
+        got = self._mats.get(key)
         if got is None:
-            fn = self._x_coeffs(i)
-            got = [self.W.coords(a + 1, b,
-                                 self.W.act_linear(0, fn, a, b, row))
-                   for row in self.W.basis(a, b).rows]
-            self._xmat[key] = got
-        return got
+            vec = (self.n_basis, self.m_basis)[side][i]
 
-    def ymat(self, i, a, b):
-        key = (i, a, b)
-        got = self._ymat.get(key)
-        if got is None:
-            fn = self._y_coeffs(i)
-            got = [self.W.coords(a, b + 1,
-                                 self.W.act_linear(1, fn, a, b, row))
+            def fn(cell):
+                sb = (cell.theta, cell.sigma)[side].span_basis
+                return tuple((k, dot(bv, vec)) for k, bv in enumerate(sb)
+                             if dot(bv, vec))
+            got = [self.W.coords(a + 1 - side, b + side,
+                                 self.W.act_linear(side, fn, a, b, row))
                    for row in self.W.basis(a, b).rows]
-            self._ymat[key] = got
+            self._mats[key] = got
         return got
 
     def block_basis(self, gr, s):
@@ -551,31 +523,21 @@ class BigradedComplex:
 
     def d_columns(self, gr, s):
         """Differential on the (gr, s) block as one sparse column per
-        basis label, with values in the (gr, s+1) block labels."""
+        basis label, with values in the (gr, s+1) block labels: per i,
+        contraction by m_i times the side-0 action, then wedge with n_i
+        times the side-1 action."""
         cols = []
         for (a, b, S, t) in self.block_basis(gr, s):
             col = {}
             for i in range(self.r):
-                for sign, S2 in _contract(self.m_basis[i], S):
-                    row = self.xmat(i, a, b)[t]
-                    for t2, v in enumerate(row):
-                        if v:
-                            key = (a + 1, b, S2, t2)
-                            nv = col.get(key, 0) + sign * v
-                            if nv:
-                                col[key] = nv
-                            else:
-                                col.pop(key, None)
-                for sign, S2 in _wedge(self.n_basis[i], S):
-                    row = self.ymat(i, a, b)[t]
-                    for t2, v in enumerate(row):
-                        if v:
-                            key = (a, b + 1, S2, t2)
-                            nv = col.get(key, 0) + sign * v
-                            if nv:
-                                col[key] = nv
-                            else:
-                                col.pop(key, None)
+                for side, terms in ((0, _contract(self.m_basis[i], S)),
+                                    (1, _wedge(self.n_basis[i], S))):
+                    for sign, S2 in terms:
+                        row = self.action(side, i, a, b)[t]
+                        for t2, v in enumerate(row):
+                            if v:
+                                _add(col, (a + 1 - side, b + side, S2, t2),
+                                     sign * v)
             cols.append(col)
         return cols
 

@@ -9,7 +9,7 @@ import time
 from pathlib import Path
 
 from stringykit.gkz import connection_on_hb, curvature_report
-from stringykit.jacobian import r1, r1_hat, random_coefficients
+from stringykit.jacobian import Context, random_coefficients
 from stringykit.koszul import (cohomology_d, cohomology_dhat, d_column,
                                decomposition_dims, dhat_column, dhat_matrix,
                                d_matrix, hb_assemble)
@@ -106,14 +106,14 @@ def test_criterion_4_bhiso_dimension_equality():
         for seed in (1, 2, 3):
             g = random_coefficients(pair, "g", seed=seed)
             for sigma in pair.dual_poset():
-                assert r1_hat(sigma, g).dims_dict() == \
-                    r1(sigma, g).dims_dict(), (label, seed, sigma)
+                assert Context().r1_hat(sigma, g).dims_dict() == \
+                    Context().r1(sigma, g).dims_dict(), (label, seed, sigma)
                 count += 1
             swapped = pair.swap()
             f = random_coefficients(swapped, "g", seed=seed + 50)
             for theta in swapped.dual_poset():
-                assert r1_hat(theta, f).dims_dict() == \
-                    r1(theta, f).dims_dict(), (label, seed, theta)
+                assert Context().r1_hat(theta, f).dims_dict() == \
+                    Context().r1(theta, f).dims_dict(), (label, seed, theta)
                 count += 1
     _report("4 (hat/graded dimension equality per level, exact)", t0,
             "%d face checks" % count)
@@ -224,8 +224,8 @@ def test_criterion_7_structural_suites():
     assert sum(a.values()) == sum(b.values())
     from fractions import Fraction
     for face in pair.poset():
-        assert r1(face, f).dims_dict() == \
-            r1(face, f.scaled(Fraction(9, 7))).dims_dict()
+        assert Context().r1(face, f).dims_dict() == \
+            Context().r1(face, f.scaled(Fraction(9, 7))).dims_dict()
 
     _report("7 (structural property suites, exact)", t0)
 

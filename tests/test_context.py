@@ -16,8 +16,8 @@ from stringykit import jacobian, sheaves
 from stringykit.errors import DegenerateCoefficients, StabilizationFailed
 from stringykit.gkz import connection_on_hb
 from stringykit.gpoly import g_polynomial
-from stringykit.jacobian import (Context, GradedQuotient, coefficient_function,
-                                 random_coefficients)
+from stringykit.jacobian import (Context, GradedQuotient, HatModel,
+                                 coefficient_function, random_coefficients)
 from stringykit.koszul import cohomology_d, hb_assemble
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
                                 make_gorenstein_pair)
@@ -31,48 +31,52 @@ SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 P2 = [(1, 0), (0, 1), (-1, -1)]
 
 
-def _key(face, f, D):
-    return (face, f, face.dim + 2 if D is None else D)
-
-
 @pytest.mark.parametrize("name", ["segment", "square"])
 def test_report_builds_each_per_face_object_once(name, monkeypatch):
-    builds = Counter()
-    calls = {"r1": Counter(), "r1_hat": Counter(),
-             "is_nondegenerate": Counter()}
-    init = GradedQuotient.__init__
+    builds = {"quotient": Counter(), "hat": Counter(),
+              "face_is_nondegenerate": Counter()}
+    memo = Counter()
+    quotient_init = GradedQuotient.__init__
+    hat_init = HatModel.__init__
+    certificate = Context.face_is_nondegenerate
+    get = Context._get
 
-    def counting_init(self, face, f, D, generators=None):
-        builds[(face, f, D)] += 1
-        init(self, face, f, D, generators)
+    def counting_quotient(self, face, f, generators=None):
+        builds["quotient"][(face, f)] += 1
+        quotient_init(self, face, f, generators)
 
-    monkeypatch.setattr(GradedQuotient, "__init__", counting_init)
-    for fn_name in ("r1", "r1_hat"):
-        fn = getattr(jacobian, fn_name)
+    def counting_hat(self, face, g, D):
+        builds["hat"][(face, g, D)] += 1
+        hat_init(self, face, g, D)
 
-        def counted(face, f, D=None, ctx=None, _fn=fn, _n=fn_name):
-            calls[_n][_key(face, f, D)] += 1
-            return _fn(face, f, D, ctx)
+    def counting_certificate(self, face, f):
+        builds["face_is_nondegenerate"][(face, f)] += 1
+        return certificate(self, face, f)
 
-        monkeypatch.setattr(jacobian, fn_name, counted)
-    nondeg = jacobian.is_nondegenerate
+    def counting_get(self, key, build):
+        def counted():
+            memo[key] += 1
+            return build()
+        return get(self, key, counted)
 
-    def counted_nondeg(pair, f, ctx=None):
-        calls["is_nondegenerate"][f] += 1
-        return nondeg(pair, f, ctx)
-
-    monkeypatch.setattr(jacobian, "is_nondegenerate", counted_nondeg)
+    monkeypatch.setattr(GradedQuotient, "__init__", counting_quotient)
+    monkeypatch.setattr(HatModel, "__init__", counting_hat)
+    monkeypatch.setattr(Context, "face_is_nondegenerate",
+                        counting_certificate)
+    monkeypatch.setattr(Context, "_get", counting_get)
 
     job = parse_input(json.loads((CORPUS / (name + ".json")).read_text()))
     report, code = run(job)
     assert code == 0
     assert render_report(report) == \
         (CORPUS / (name + ".report.json")).read_text()
-    assert builds and max(builds.values()) == 1
-    for counter in calls.values():
+    for counter in builds.values():
         assert counter and max(counter.values()) == 1
+    # every memo entry, R1 per key among them, is built once
+    assert memo and max(memo.values()) == 1
+    assert any(key[0] == "r1" for key in memo)
     # f and g, no resample at these seeds
-    assert len(calls["is_nondegenerate"]) == 2
+    assert len([key for key in memo if key[0] == "nondegenerate"]) == 2
 
 
 def test_jobs_in_one_process_match_separate_processes(tmp_path):
@@ -119,11 +123,11 @@ def test_failures_raise_on_every_call(monkeypatch):
                 ctx.certify(f, g)
     attempts = []
 
-    def unstable(face, g, D=None, ctx=None):
+    def unstable(face, g, D):
         attempts.append(face)
         raise StabilizationFailed("no stable truncation")
 
-    monkeypatch.setattr(jacobian, "certified_hat_model", unstable)
+    monkeypatch.setattr(jacobian, "HatModel", unstable)
     g = cases[0][1]
     top = pair.dual_poset().top
     for _ in range(2):
@@ -138,11 +142,12 @@ def test_context_memo_returns_one_object_per_key():
     g = random_coefficients(pair, "g", 2, ctx=ctx)
     top = pair.dual_poset().top
     # the quotient certified with g is the one r1 reads
-    assert ctx.quotient(top, g, top.dim + 2) is \
-        jacobian.quotient_dims(top, g, ctx=ctx)
-    assert ctx.r1(top, g) is ctx.r1(top, g, top.dim + 2)
-    assert ctx.r1_hat(top, g) is ctx.r1_hat(top, g)
-    model = ctx.certified_hat_model(top, g)
+    assert ctx.quotient(top, g) is ctx.quotient(top, g)
+    assert ctx.r1(top, g) is ctx.r1(top, g)
+    # r1_hat has no memo entry of its own: it reads the memoized model
+    assert ctx.hat_model(top, g) is ctx.hat_model(top, g)
+    assert ctx.r1_hat(top, g) == ctx.r1_hat(top, g)
+    model = ctx.hat_model(top, g)
     assert model.interior_level_data() is model.interior_level_data()
     # a fresh context shares nothing
     assert Context(pair).r1(top, g) is not ctx.r1(top, g)

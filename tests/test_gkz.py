@@ -10,7 +10,7 @@ import sympy
 from stringykit.errors import DegenerateCoefficients
 from stringykit.gkz import (ConnectionData, connection_data,
                             connection_on_hb, curvature_report)
-from stringykit.jacobian import (HatModel, coefficient_function, r1_hat,
+from stringykit.jacobian import (Context, HatModel, coefficient_function,
                                  random_coefficients)
 from stringykit.koszul import hb_assemble
 from stringykit.lattice import (cone_over_polytope, make_gorenstein_pair)
@@ -155,14 +155,6 @@ def test_p2_curvature_identity_exact():
     assert not rep["derivative_symmetry"]
 
 
-def test_p2_flatness_check_single_pair():
-    pair = p2_pair()
-    g = random_coefficients(pair, "g", seed=2)
-    sigma = pair.dual_poset().top
-    # the pair (delta[0], delta[1]) is among the pairs the report checks
-    assert curvature_report(connection_data(sigma, g))["flat"]
-
-
 def test_connection_blocks_match_hb_summands():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
@@ -173,7 +165,7 @@ def test_connection_blocks_match_hb_summands():
     assert dims == [1, 2]
     # block dims equal the hatted factors in the assembly
     for b in blocks:
-        assert b.dim() == r1_hat(b.sigma, g).total()
+        assert b.dim() == Context().r1_hat(b.sigma, g).total()
     # the zero-face block has no parameters at all
     trivial = next(b for b in blocks if b.dim() == 1)
     assert trivial.matrices == {}

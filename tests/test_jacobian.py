@@ -2,11 +2,9 @@
 
 from fractions import Fraction
 
-from stringykit.jacobian import (HatModuleElement, coefficient_function,
-                                 face_is_nondegenerate, hat_action,
-                                 is_nondegenerate, log_derivative_elements,
-                                 quotient_dims, r1, r1_hat,
-                                 random_coefficients)
+from stringykit.jacobian import (Context, GradedQuotient, HatModuleElement,
+                                 coefficient_function, hat_action,
+                                 log_derivative_elements, random_coefficients)
 from stringykit.lattice import (cone_over_polytope, make_gorenstein_pair,
                                 points_at_degree, span_coords)
 
@@ -80,7 +78,7 @@ def test_log_derivatives_full_cone_count_and_content():
 
 def test_quotient_dims_triangle_const():
     pair = p2_pair()
-    q = quotient_dims(pair.poset().top, const_f(pair))
+    q = Context().quotient(pair.poset().top, const_f(pair))
     assert [q.dims[k] for k in range(6)] == [1, 1, 1, 0, 0, 0]
 
 
@@ -88,7 +86,7 @@ def test_quotient_dims_against_dense_oracle():
     pair = p2_pair()
     f = const_f(pair)
     top = pair.poset().top
-    q = quotient_dims(top, f)
+    q = Context().quotient(top, f)
     gens = log_derivative_elements(top, f)
     for k in range(1, 6):
         pts = points_at_degree(top, k, pair.deg_dual)
@@ -104,7 +102,7 @@ def test_quotient_dims_against_dense_oracle():
 def test_quotient_dims_ray_unit():
     pair = p2_pair()
     ray = pair.poset().by_rays[((1, 0, 1),)]
-    q = quotient_dims(ray, const_f(pair, 1))
+    q = Context().quotient(ray, const_f(pair, 1))
     assert [q.dims[k] for k in range(4)] == [1, 0, 0, 0]
 
 
@@ -112,20 +110,20 @@ def test_quotient_dims_zero_function_gives_hilbert():
     pair = p2_pair()
     f = const_f(pair, 0)
     top = pair.poset().top
-    q = quotient_dims(top, f)
+    q = Context().quotient(top, f)
     for k in range(6):
         assert q.dims[k] == len(points_at_degree(top, k, pair.deg_dual))
 
 
 def test_r1_zero_face():
     pair = p2_pair()
-    space = r1(pair.poset().zero, const_f(pair))
+    space = Context().r1(pair.poset().zero, const_f(pair))
     assert space.dims_dict() == {0: 1}
 
 
 def test_r1_triangle_full_cone():
     pair = p2_pair()
-    space = r1(pair.poset().top, const_f(pair))
+    space = Context().r1(pair.poset().top, const_f(pair))
     assert space.dims_dict() == {1: 1, 2: 1}
     assert space.total() == 2
 
@@ -134,22 +132,22 @@ def test_r1_ray_vanishes():
     pair = p2_pair()
     for rays in pair.poset():
         if rays.dim == 1:
-            assert r1(rays, const_f(pair)).total() == 0
+            assert Context().r1(rays, const_f(pair)).total() == 0
 
 
 def test_r1_rescaling_invariance():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=3)
     for face in pair.poset():
-        assert r1(face, f).dims_dict() == \
-            r1(face, f.scaled(Fraction(7, 3))).dims_dict()
+        assert Context().r1(face, f).dims_dict() == \
+            Context().r1(face, f.scaled(Fraction(7, 3))).dims_dict()
 
 
 def test_basis_independence_of_ideal_dims():
     pair = p2_pair()
     f = fermat_f(pair)
     top = pair.poset().top
-    q1 = quotient_dims(top, f, 5)
+    q1 = Context().quotient(top, f)
     # second basis of linear functionals: unimodular recombination
     gens = log_derivative_elements(top, f)
     u = [[1, 1, 0], [0, 1, 0], [1, 0, 1]]
@@ -160,20 +158,19 @@ def test_basis_independence_of_ideal_dims():
             for m, v in g.items():
                 e[m] = e.get(m, 0) + c * v
         gens2.append({m: v for m, v in e.items() if v})
-    from stringykit.jacobian import GradedQuotient
-    q2 = GradedQuotient(top, f, 5, generators=gens2)
+    q2 = GradedQuotient(top, f, generators=gens2)
     assert q1.dims == q2.dims
 
 
 def test_nondegenerate_fermat():
     pair = p2_pair()
-    assert is_nondegenerate(pair, fermat_f(pair))
-    assert is_nondegenerate(pair, const_f(pair))
+    assert Context(pair).is_nondegenerate(fermat_f(pair))
+    assert Context(pair).is_nondegenerate(const_f(pair))
 
 
 def test_degenerate_zero():
     pair = p2_pair()
-    assert not is_nondegenerate(pair, const_f(pair, 0))
+    assert not Context(pair).is_nondegenerate(const_f(pair, 0))
 
 
 def test_degenerate_single_vertex_support():
@@ -181,11 +178,11 @@ def test_degenerate_single_vertex_support():
     vals = {p: 0 for p in pair.delta()}
     vals[(1, 0, 1)] = 1
     f = coefficient_function(pair, "f", vals)
-    assert not is_nondegenerate(pair, f)
+    assert not Context(pair).is_nondegenerate(f)
     # the 2-face avoiding the support carries a zero ideal
     for face in pair.poset():
         if face.dim == 2 and (1, 0, 1) not in face.rays:
-            assert not face_is_nondegenerate(face, f)
+            assert not Context().face_is_nondegenerate(face, f)
 
 
 def test_hat_action_at_origin():
@@ -239,7 +236,7 @@ def test_hat_action_commutes():
 def test_r1_hat_zero_face():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=1)
-    space = r1_hat(pair.dual_poset().zero, g)
+    space = Context().r1_hat(pair.dual_poset().zero, g)
     assert space.dims_dict() == {0: 1}
 
 
@@ -247,8 +244,8 @@ def test_r1_hat_matches_r1_on_dual_triangle():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=1)
     sigma = pair.dual_poset().top
-    hat = r1_hat(sigma, g)
-    assert hat.dims_dict() == r1(sigma, g).dims_dict()
+    hat = Context().r1_hat(sigma, g)
+    assert hat.dims_dict() == Context().r1(sigma, g).dims_dict()
     assert hat.total() == 2
 
 
@@ -257,8 +254,8 @@ def test_r1_hat_all_faces_three_seeds():
     for seed in (1, 2, 3):
         g = random_coefficients(pair, "g", seed=seed)
         for sigma in pair.dual_poset():
-            assert r1_hat(sigma, g).dims_dict() == \
-                r1(sigma, g).dims_dict()
+            assert Context().r1_hat(sigma, g).dims_dict() == \
+                Context().r1(sigma, g).dims_dict()
 
 
 def test_random_coefficients_deterministic():

@@ -118,6 +118,10 @@ def test_not_gorenstein():
     # dual rays (0,1),(3,-1): 3*x1 - x2 = 1 with x2 = 1 forces x1 = 2/3
     with pytest.raises(NotGorenstein):
         make_gorenstein_pair(cone_from_rays([(1, 0), (1, 3)]))
+    # four rays in rank three: <ray, x> = 1 has no solution at all
+    with pytest.raises(NotGorenstein):
+        make_gorenstein_pair(cone_from_rays([(1, 0, 1), (0, 1, 1),
+                                             (-1, 0, 1), (0, -1, 2)]))
 
 
 def test_cone_over_polytope():

@@ -5,7 +5,7 @@ from random import Random
 
 from stringykit.lattice import hnf_rows, integer_kernel
 from stringykit.linalg import (Echelon, SparseBasis, exact_rank,
-                               kernel_basis, rref_basis, solve_exact)
+                               kernel_basis, rref_basis)
 
 
 def dense_rank(rows, ncols):
@@ -103,12 +103,6 @@ def test_sparse_basis_coords():
 def test_rref_deterministic():
     vs = [{0: Fraction(2), 2: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}]
     assert rref_basis(vs) == rref_basis(list(reversed(vs)))
-
-
-def test_solve_exact():
-    x = solve_exact([[1, 0], [1, 2]], [1, 1])
-    assert x == (Fraction(1), Fraction(0))
-    assert solve_exact([[1, 0], [1, 0]], [0, 1]) is None
 
 
 def test_integer_kernel_saturated():
