@@ -5,7 +5,7 @@ import argparse
 import json
 import sys
 
-from .errors import StringyKitError
+from .errors import ParseError, StringyKitError
 from .reporting import (SCHEMA_VERSION, VERIFICATION_NAMES,
                         cohomology_table, hilbert_tables, inspect_pair,
                         parse_input, r1_tables, render_report, run)
@@ -58,7 +58,6 @@ def build_parser():
 
 
 def _load_job(args, verify_override=None, timings=False):
-    from .errors import ParseError
     try:
         with open(args.job, "r", encoding="utf-8") as handle:
             try:
@@ -100,14 +99,6 @@ def main(argv=None):
             job = _load_job(args, timings=args.timings)
         else:
             job = _load_job(args)
-    except StringyKitError as exc:
-        sys.stdout.write(render_report(
-            {"schema_version": SCHEMA_VERSION,
-             "error": {"type": type(exc).__name__, "message": str(exc)},
-             "exit_code": 2}))
-        return 2
-
-    try:
         if args.command in ("verify", "report"):
             report, code = run(job)
             _emit(report, job)

@@ -45,41 +45,6 @@ def qrank(vectors):
     return exact_rank(rows)
 
 
-def integer_kernel(rows, n):
-    """Basis of {x in Z^n : <row, x> = 0 for all rows}.
-
-    Integer column reduction with a tracked unimodular transform; the
-    kernel of an integer matrix is automatically saturated.
-    """
-    m = len(rows)
-    cols = [[rows[i][j] for i in range(m)] for j in range(n)]
-    unim = [[int(i == j) for i in range(n)] for j in range(n)]
-    r = 0
-    for i in range(m):
-        while r < n:
-            nz = [j for j in range(r, n) if cols[j][i]]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: (abs(cols[j][i]), j))
-            cols[r], cols[j0] = cols[j0], cols[r]
-            unim[r], unim[j0] = unim[j0], unim[r]
-            a = cols[r][i]
-            clean = True
-            for j in range(r + 1, n):
-                b = cols[j][i]
-                if b:
-                    q = b // a
-                    if q:
-                        cols[j] = [x - q * y for x, y in zip(cols[j], cols[r])]
-                        unim[j] = [x - q * y for x, y in zip(unim[j], unim[r])]
-                    if cols[j][i]:
-                        clean = False
-            if clean:
-                r += 1
-                break
-    return [tuple(unim[j]) for j in range(r, n)]
-
-
 def hnf_rows(rows):
     """Canonical (row Hermite) basis of the lattice spanned by the rows."""
     mat = [list(r) for r in rows]
@@ -118,17 +83,28 @@ def hnf_rows(rows):
     return tuple(tuple(row) for row in mat[:r])
 
 
+def integer_kernel(rows, n):
+    """Basis of {x in Z^n : <row, x> = 0 for all rows}, in Hermite form.
+
+    The rows of hnf_rows([A^T | I]) whose A^T part is zero; the kernel of
+    an integer matrix is automatically saturated.
+    """
+    m = len(rows)
+    hnf = hnf_rows([tuple(r[j] for r in rows)
+                    + tuple(int(i == j) for i in range(n))
+                    for j in range(n)])
+    return [row[m:] for row in hnf if not any(row[:m])]
+
+
 def span_lattice_basis(rays, n):
-    """Basis of span(rays) intersected with Z^n (the saturated lattice)."""
-    if not rays:
-        return ()
-    perp = integer_kernel(rays, n)
-    return hnf_rows(integer_kernel(perp, n))
+    """Basis of span(rays) intersected with Z^n (the saturated lattice),
+    in Hermite form."""
+    return tuple(integer_kernel(integer_kernel(rays, n), n))
 
 
 def span_coords_for(basis, point):
-    """Integer coordinates of a lattice point in a span basis from
-    hnf_rows, whose rows have increasing positive pivots: forward
+    """Integer coordinates of a lattice point in a span basis in Hermite
+    form, whose rows have increasing positive pivots: forward
     substitution over the pivot columns.  Raises ValueError when the
     point is not an integer combination of the rows."""
     rest = list(point)

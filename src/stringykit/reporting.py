@@ -22,10 +22,9 @@ from .gkz import connection_on_hb, curvature_report
 from .jacobian import Context, coefficient_function, random_coefficients
 from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
                      hb_assemble)
-from .lattice import (cone_from_rays, cone_over_polytope,
+from .lattice import (annihilator_face, cone_from_rays, cone_over_polytope,
                       make_gorenstein_pair, points_at_degree)
-from .sheaves import FanSpace, annihilator_face, verify_prop_maincoro, \
-    verify_theorem_key
+from .sheaves import verify_prop_maincoro, verify_theorem_key
 
 SCHEMA_VERSION = "1"
 VERIFICATION_NAMES = ("thm-key", "thm-main", "prop-maincoro", "bhiso",
@@ -211,12 +210,11 @@ def _dims_table(dims):
 
 
 def pair_summary(pair):
-    by_dim = {}
-    for face in pair.poset():
-        by_dim[face.dim] = by_dim.get(face.dim, 0) + 1
-    dual_by_dim = {}
-    for face in pair.dual_poset():
-        dual_by_dim[face.dim] = dual_by_dim.get(face.dim, 0) + 1
+    by_dim, dual_by_dim = {}, {}
+    for counts, poset in ((by_dim, pair.poset()),
+                          (dual_by_dim, pair.dual_poset())):
+        for face in poset:
+            counts[face.dim] = counts.get(face.dim, 0) + 1
     return {
         "rank": pair.rank,
         "deg": list(pair.deg),
@@ -250,14 +248,14 @@ def _verify_thm_main(ctx, job):
 
 def _verify_prop_maincoro(ctx, job):
     pair = ctx.pair
-    fan = FanSpace(pair.cone, pair.dual)
+    poset, dual_poset = pair.poset(), pair.dual_poset()
     D = min(job.max_degree, 5)
     cases = []
     verdict = "pass"
-    for theta0 in fan.poset:
-        tstar = annihilator_face(theta0, fan.dual_poset)
-        for sigma0 in fan.dual_poset:
-            if not fan.dual_poset.leq(sigma0, tstar):
+    for theta0 in poset:
+        tstar = annihilator_face(theta0, dual_poset)
+        for sigma0 in dual_poset:
+            if not dual_poset.leq(sigma0, tstar):
                 continue
             rep = verify_prop_maincoro(pair.cone, theta0, sigma0, D=D)
             if rep["verdict"] != "pass":
@@ -408,39 +406,33 @@ def inspect_pair(job):
             "pair": pair_summary(pair)}
 
 
-def hilbert_tables(job):
+def _face_tables(job, row):
+    """Per-face records row(ctx, face, fn) over both sides of the job."""
     ctx = _job_context(job)
     sides = []
     for label, poset, fn in (("primal", ctx.pair.poset(), ctx.f),
                              ("dual", ctx.pair.dual_poset(), ctx.g)):
-        faces_out = []
-        for face in poset:
-            q = ctx.quotient(face, fn)
-            faces_out.append({
-                "dim": face.dim,
-                "point_counts": [len(points_at_degree(face, k, fn.lam))
-                                 for k in range(q.D + 1)],
-                "quotient_dims": [q.dims[k] for k in range(q.D + 1)],
-            })
-        sides.append({"side": label, "faces": faces_out})
+        sides.append({"side": label,
+                      "faces": [row(ctx, face, fn) for face in poset]})
     return {"schema_version": SCHEMA_VERSION, "job": job.echo(),
             "sides": sides}
+
+
+def hilbert_tables(job):
+    def row(ctx, face, fn):
+        q = ctx.quotient(face, fn)
+        return {"dim": face.dim,
+                "point_counts": [len(points_at_degree(face, k, fn.lam))
+                                 for k in range(q.D + 1)],
+                "quotient_dims": [q.dims[k] for k in range(q.D + 1)]}
+    return _face_tables(job, row)
 
 
 def r1_tables(job):
-    ctx = _job_context(job)
-    sides = []
-    for label, poset, fn in (("primal", ctx.pair.poset(), ctx.f),
-                             ("dual", ctx.pair.dual_poset(), ctx.g)):
-        faces_out = []
-        for face in poset:
-            faces_out.append({
-                "dim": face.dim,
-                "r1_dims": _dims_table(ctx.r1(face, fn).dims_dict()),
-            })
-        sides.append({"side": label, "faces": faces_out})
-    return {"schema_version": SCHEMA_VERSION, "job": job.echo(),
-            "sides": sides}
+    def row(ctx, face, fn):
+        return {"dim": face.dim,
+                "r1_dims": _dims_table(ctx.r1(face, fn).dims_dict())}
+    return _face_tables(job, row)
 
 
 def cohomology_table(job, differential="d"):

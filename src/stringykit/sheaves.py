@@ -3,11 +3,14 @@ global sections W, the contraction/wedge differential on W tensor the
 exterior algebra, and the vanishing/one-class verifiers.
 
 The fan lives in M + N: cells are pairs (theta, sigma) of faces of the
-two dual cones with sigma inside the annihilator of theta.  Sections over
-a cell are free modules over the polynomial functions on its span; the
-minimal sheaf is built by induction over cells in increasing dimension,
-taking compatible families over the boundary and a free cover of their
-quotient by positive-degree multiples.  Everything is stored bigraded by
+two dual cones with sigma inside the annihilator of theta.  A FanSpace
+makes each cell once, and cells compare by identity; the facets of a
+cell and the restrictions of its linear functionals to each facet are
+data of the fan, computed with it.  Sections over a cell are free
+modules over the polynomial functions on its span; the minimal sheaf is
+built by induction over cells in increasing dimension, taking compatible
+families over the boundary and a free cover of their quotient by
+positive-degree multiples.  Everything is stored bigraded by
 (x-degree, y-degree) and truncated at total degree D; the recursion is
 degreewise exact below the truncation.
 """
@@ -23,8 +26,9 @@ from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
 from .linalg import Echelon, SparseBasis, exact_rank, kernel_basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cell:
+    """A cell of a FanSpace; made only by the fan, equal only to itself."""
     theta: object
     sigma: object
 
@@ -39,12 +43,27 @@ class Cell:
         return "Cell(%d+%d)" % (self.theta.dim, self.sigma.dim)
 
 
-class FanSpace:
-    """Fan of dual-face pairs (theta, sigma) with sigma inside theta*."""
+def _fun_restr(big, small):
+    """Row i: the i-th span functional of the big face restricted to the
+    small one, as (j, coefficient) pairs over the small face's."""
+    rows = [[] for _ in range(big.dim)]
+    for j, bv in enumerate(small.span_basis):
+        for i, c in enumerate(span_coords(big, bv)):
+            if c:
+                rows[i].append((j, c))
+    return tuple(tuple(r) for r in rows)
 
-    def __init__(self, cone, dual=None):
+
+class FanSpace:
+    """Fan of dual-face pairs (theta, sigma) with sigma inside theta*.
+
+    facets[cell] lists the cells of one dimension less inside the cell,
+    sorted by key; restriction[(cell, facet)] holds the theta-side and
+    sigma-side rows of _fun_restr."""
+
+    def __init__(self, cone):
         self.cone = cone
-        self.dual = dual_cone(cone) if dual is None else dual
+        self.dual = dual_cone(cone)
         self.poset = faces(self.cone)
         self.dual_poset = faces(self.dual)
         self.rank = cone.ambient_rank
@@ -55,37 +74,36 @@ class FanSpace:
                 if self.dual_poset.leq(sigma, tstar):
                     cells.append(Cell(theta, sigma))
         self.cells = tuple(sorted(cells, key=lambda c: (c.dim, c.key())))
-        self.by_key = {c.key(): c for c in self.cells}
+        self._by_active = {(c.theta.active, c.sigma.active): c
+                           for c in self.cells}
         self.maximal = tuple(
             c for c in self.cells
-            if c.sigma == annihilator_face(c.theta, self.dual_poset))
+            if c.sigma is annihilator_face(c.theta, self.dual_poset))
+        # cells are sorted by (dim, key), so each facet tuple is by key
+        self.facets = {c: tuple(f for f in self.cells
+                                if f.dim == c.dim - 1 and self.leq(f, c))
+                       for c in self.cells}
+        self.restriction = {(c, f): (_fun_restr(c.theta, f.theta),
+                                     _fun_restr(c.sigma, f.sigma))
+                            for c in self.cells for f in self.facets[c]}
+
+    def cell(self, theta, sigma):
+        """The fan's cell on (theta, sigma); ValueError when none."""
+        got = self._by_active.get((theta.active, sigma.active))
+        if got is None:
+            raise ValueError("(theta, sigma) is not a cell of the fan")
+        return got
 
     def zero_cell(self):
-        return Cell(self.poset.zero, self.dual_poset.zero)
-
-    def contains_cell(self, cell):
-        return cell.key() in self.by_key
+        return self.cells[0]
 
     def leq(self, c1, c2):
         return (self.poset.leq(c1.theta, c2.theta)
                 and self.dual_poset.leq(c1.sigma, c2.sigma))
 
     def meet(self, c1, c2):
-        return Cell(self.poset.meet(c1.theta, c2.theta),
-                    self.dual_poset.meet(c1.sigma, c2.sigma))
-
-    def facets_of(self, cell):
-        """Cells of one dimension less contained in the cell."""
-        out = []
-        for theta in self.poset:
-            if theta.dim == cell.theta.dim - 1 and \
-                    self.poset.leq(theta, cell.theta):
-                out.append(Cell(theta, cell.sigma))
-        for sigma in self.dual_poset:
-            if sigma.dim == cell.sigma.dim - 1 and \
-                    self.dual_poset.leq(sigma, cell.sigma):
-                out.append(Cell(cell.theta, sigma))
-        return sorted(out, key=lambda c: c.key())
+        return self.cell(self.poset.meet(c1.theta, c2.theta),
+                         self.dual_poset.meet(c1.sigma, c2.sigma))
 
 
 @lru_cache(maxsize=None)
@@ -106,35 +124,33 @@ class MinimalSheaf:
     def __init__(self, fan, origin, D):
         if D < 0:
             raise TruncationTooSmall("negative truncation degree")
-        if not fan.contains_cell(origin):
-            raise ValueError("origin is not a cell of the fan")
         self.fan = fan
-        self.origin = fan.by_key[origin.key()]
+        self.origin = fan.cell(origin.theta, origin.sigma)
         self.D = D
-        self.support = tuple(
+        self.support = frozenset(
             c for c in fan.cells if fan.leq(self.origin, c))
-        self._support_keys = {c.key() for c in self.support}
-        self.gens = {}            # cell key -> tuple of (p, q)
-        self.lifts = {}           # cell key -> list of {facet key: vec}
+        self.gens = {}            # cell -> tuple of (p, q)
+        self.lifts = {}           # cell -> list of {facet: vec}
         self._basis_cache = {}
         self._restr_cache = {}
-        self._fun_restr_cache = {}
         self._gamma_cache = {}
         self._build()
 
     # -- free-module bookkeeping ------------------------------------
 
     def gen_bidegrees(self, cell):
-        return self.gens.get(cell.key(), ())
+        return self.gens.get(cell, ())
 
     def basis_at(self, cell, a, b):
-        key = (cell.key(), a, b)
+        """(basis, index) of the cell's sections at (a, b); the cell must
+        be built already."""
+        key = (cell, a, b)
         got = self._basis_cache.get(key)
         if got is not None:
             return got
         out = []
         xd, yd = cell.theta.dim, cell.sigma.dim
-        for gi, (p, q) in enumerate(self.gens.get(cell.key(), ())):
+        for gi, (p, q) in enumerate(self.gens[cell]):
             if a < p or b < q:
                 continue
             for um in _monomials(xd, a - p):
@@ -145,117 +161,80 @@ class MinimalSheaf:
         return self._basis_cache[key]
 
     def dim_at(self, cell, a, b):
-        if cell.key() not in self._support_keys:
+        if cell not in self.support:
             return 0
         return len(self.basis_at(cell, a, b)[0])
 
-    def _mul_var(self, cell, side, j, vec, a, b):
-        """Multiply by the j-th u- (side=0) or v- (side=1) functional."""
-        basis_src = self.basis_at(cell, a, b)[0]
-        if side == 0:
-            _, index_dst = self.basis_at(cell, a + 1, b)
-        else:
-            _, index_dst = self.basis_at(cell, a, b + 1)
-        out = {}
-        for i, val in vec.items():
-            um, vm, gi = basis_src[i]
-            if side == 0:
-                um = um[:j] + (um[j] + 1,) + um[j + 1:]
-            else:
-                vm = vm[:j] + (vm[j] + 1,) + vm[j + 1:]
-            t = index_dst[(um, vm, gi)]
-            out[t] = out.get(t, 0) + val
-        return {t: v for t, v in out.items() if v}
-
     def mul_linear(self, cell, side, coeffs, vec, a, b):
-        """Multiply by sum_j coeffs[j] * (j-th functional of the cell)."""
+        """Multiply by sum_j coeffs[j] * (j-th u- (side 0) or v- (side 1)
+        functional of the cell)."""
+        basis_src = self.basis_at(cell, a, b)[0]
+        index_dst = self.basis_at(cell, a + 1 - side, b + side)[1]
         out = {}
         for j, c in coeffs:
-            if not c:
-                continue
-            part = self._mul_var(cell, side, j, vec, a, b)
-            for t, v in part.items():
-                nv = out.get(t, 0) + c * v
-                if nv:
-                    out[t] = nv
+            for i, val in vec.items():
+                um, vm, gi = basis_src[i]
+                if side == 0:
+                    um = um[:j] + (um[j] + 1,) + um[j + 1:]
                 else:
-                    out.pop(t, None)
+                    vm = vm[:j] + (vm[j] + 1,) + vm[j + 1:]
+                _add(out, index_dst[(um, vm, gi)], c * val)
         return out
 
-    # -- functional restriction coefficients -------------------------
-
-    def _fun_restr(self, big_face_key, small_face_key, side):
-        key = (big_face_key, small_face_key, side)
-        got = self._fun_restr_cache.get(key)
-        if got is not None:
-            return got
-        big = self._face_by_key(big_face_key, side)
-        small = self._face_by_key(small_face_key, side)
-        rows = []
-        for i in range(big.dim):
-            rows.append([])
-        for j, bv in enumerate(small.span_basis):
-            coords = span_coords(big, bv)
-            for i in range(big.dim):
-                if coords[i]:
-                    rows[i].append((j, coords[i]))
-        got = tuple(tuple(r) for r in rows)
-        self._fun_restr_cache[key] = got
-        return got
-
-    def _face_by_key(self, key, side):
-        poset = self.fan.poset if side == 0 else self.fan.dual_poset
-        return poset.by_active[frozenset(key)]
+    def act(self, side, coeffs, layout, tgt_layout, vec, a, b):
+        """Multiply a family laid out cell by cell at (a, b) by a linear
+        function given per cell by coeffs(cell), into tgt_layout."""
+        out = {}
+        for (c, off, d), (_, off2, _) in zip(layout, tgt_layout):
+            comp = {i - off: v for i, v in vec.items() if off <= i < off + d}
+            if comp:
+                for t, v in self.mul_linear(c, side, coeffs(c), comp,
+                                            a, b).items():
+                    out[off2 + t] = v
+        return out
 
     # -- restriction matrices ----------------------------------------
 
     def restr_cols(self, cell, face_cell, a, b):
         """Columns of the restriction map L(cell) -> L(face_cell) at (a,b)."""
-        key = (cell.key(), face_cell.key(), a, b)
+        key = (cell, face_cell, a, b)
         got = self._restr_cache.get(key)
         if got is not None:
             return got
         basis, _ = self.basis_at(cell, a, b)
-        if face_cell.key() not in self._support_keys:
+        if face_cell not in self.support:
             cols = [dict() for _ in basis]
-        elif face_cell.key() == cell.key():
+        elif face_cell is cell:
             cols = [{i: 1} for i in range(len(basis))]
         else:
-            facets = [f for f in self.fan.facets_of(cell)
-                      if f.key() in self._support_keys
-                      and self.fan.leq(face_cell, f)]
-            if not facets:
+            mid = next((f for f in self.fan.facets[cell]
+                        if f in self.support and self.fan.leq(face_cell, f)),
+                       None)
+            if mid is None:
                 raise ValueError("no support facet between cells")
-            mid = facets[0]
-            first = self._restr_to_facet(cell, mid, a, b)
-            if mid.key() == face_cell.key():
-                cols = first
-            else:
+            cols = self._restr_to_facet(cell, mid, a, b)
+            if mid is not face_cell:
                 second = self.restr_cols(mid, face_cell, a, b)
-                cols = []
-                for col in first:
+                chained = []
+                for col in cols:
                     acc = {}
                     for l, v in col.items():
                         for t, w in second[l].items():
-                            nv = acc.get(t, 0) + v * w
-                            if nv:
-                                acc[t] = nv
-                            else:
-                                acc.pop(t, None)
-                    cols.append(acc)
+                            _add(acc, t, v * w)
+                    chained.append(acc)
+                cols = chained
         self._restr_cache[key] = cols
         return cols
 
     def _restr_to_facet(self, cell, facet, a, b):
         basis, _ = self.basis_at(cell, a, b)
-        urestr = self._fun_restr(cell.theta.key(), facet.theta.key(), 0)
-        vrestr = self._fun_restr(cell.sigma.key(), facet.sigma.key(), 1)
-        lifts = self.lifts[cell.key()]
-        gdegs = self.gens[cell.key()]
+        urestr, vrestr = self.fan.restriction[(cell, facet)]
+        lifts = self.lifts[cell]
+        gdegs = self.gens[cell]
         cols = []
         for (um, vm, gi) in basis:
             p, q = gdegs[gi]
-            vec = dict(lifts[gi].get(facet.key(), {}))
+            vec = dict(lifts[gi].get(facet, {}))
             ca, cb = p, q
             for j, e in enumerate(um):
                 for _ in range(e):
@@ -309,11 +288,10 @@ class MinimalSheaf:
         return layout, kernel_basis(columns)
 
     def gamma_boundary(self, cell, a, b):
-        key = (cell.key(), a, b)
+        key = (cell, a, b)
         got = self._gamma_cache.get(key)
         if got is None:
-            facets = [f for f in self.fan.facets_of(cell)
-                      if f.key() in self._support_keys]
+            facets = [f for f in self.fan.facets[cell] if f in self.support]
             got = (facets,) + self.compatible_sections(facets, a, b)
             self._gamma_cache[key] = got
         return got
@@ -321,22 +299,23 @@ class MinimalSheaf:
     # -- construction --------------------------------------------------
 
     def _build(self):
-        for cell in self.support:
-            if cell.key() == self.origin.key():
-                self.gens[cell.key()] = ((0, 0),)
-                self.lifts[cell.key()] = [{}]
+        for cell in self.fan.cells:
+            if cell not in self.support:
+                continue
+            if cell is self.origin:
+                self.gens[cell] = ((0, 0),)
+                self.lifts[cell] = [{}]
                 continue
             gens = []
             lifts = []
             for s in range(self.D + 1):
                 for a in range(s + 1):
                     b = s - a
-                    facets, layout, gamma = self.gamma_boundary(cell, a, b)
+                    _, layout, gamma = self.gamma_boundary(cell, a, b)
                     if not gamma:
                         continue
                     ech = Echelon()
-                    self._insert_positive_span(cell, facets, layout, a, b,
-                                               ech)
+                    self._insert_positive_span(cell, layout, a, b, ech)
                     for vec in gamma:
                         piv = ech.insert(dict(vec))
                         if piv is None:
@@ -344,37 +323,20 @@ class MinimalSheaf:
                         row = dict(ech.rows[piv])
                         gens.append((a, b))
                         lifts.append(self._split(layout, row))
-            self.gens[cell.key()] = tuple(gens)
-            self.lifts[cell.key()] = lifts
-            self._basis_cache = {k: v for k, v in self._basis_cache.items()
-                                 if k[0] != cell.key()}
+            self.gens[cell] = tuple(gens)
+            self.lifts[cell] = lifts
 
-    def _insert_positive_span(self, cell, facets, layout, a, b, ech):
+    def _insert_positive_span(self, cell, layout, a, b, ech):
         for side, da, db in ((0, a - 1, b), (1, a, b - 1)):
             if da < 0 or db < 0:
                 continue
-            nvars = cell.theta.dim if side == 0 else cell.sigma.dim
-            if nvars == 0:
-                continue
             _, low_layout, low_gamma = self.gamma_boundary(cell, da, db)
-            for j in range(nvars):
-                restr = {}
-                for f in facets:
-                    fk = f.theta.key() if side == 0 else f.sigma.key()
-                    ck = cell.theta.key() if side == 0 else cell.sigma.key()
-                    restr[f.key()] = self._fun_restr(ck, fk, side)[j]
+            for j in range((cell.theta, cell.sigma)[side].dim):
+                def coeffs(f):
+                    return self.fan.restriction[(cell, f)][side][j]
                 for vec in low_gamma:
-                    out = {}
-                    for (f, off, d), (f2, off2, d2) in zip(low_layout,
-                                                           layout):
-                        comp = {i - off: v for i, v in vec.items()
-                                if off <= i < off + d}
-                        if not comp:
-                            continue
-                        part = self.mul_linear(f, side, restr[f.key()],
-                                               comp, da, db)
-                        for t, v in part.items():
-                            out[off2 + t] = v
+                    out = self.act(side, coeffs, low_layout, layout, vec,
+                                   da, db)
                     if out:
                         ech.insert(out)
 
@@ -384,7 +346,7 @@ class MinimalSheaf:
         for cellobj, off, d in layout:
             comp = {i - off: v for i, v in vec.items() if off <= i < off + d}
             if comp:
-                out[cellobj.key()] = comp
+                out[cellobj] = comp
         return out
 
     # -- oracle helper --------------------------------------------------
@@ -409,26 +371,20 @@ class SheafSections:
         self.sheaf = sheaf
         self.fan = sheaf.fan
         self.D = sheaf.D
-        self.maxcells = [c for c in self.fan.maximal
-                         if c.key() in sheaf._support_keys]
-        self._bases = {}
-        self._layouts = {}
+        self.maxcells = [c for c in self.fan.maximal if c in sheaf.support]
+        self._spaces = {}         # (a, b) -> (layout, SparseBasis)
 
-    def layout(self, a, b):
-        self.basis(a, b)
-        return self._layouts[(a, b)]
-
-    def basis(self, a, b):
-        """The SparseBasis of W in bidegree (a, b)."""
-        key = (a, b)
-        got = self._bases.get(key)
+    def _space(self, a, b):
+        got = self._spaces.get((a, b))
         if got is None:
             layout, vectors = self.sheaf.compatible_sections(
                 self.maxcells, a, b)
-            got = SparseBasis(vectors)
-            self._bases[key] = got
-            self._layouts[key] = layout
+            got = self._spaces[(a, b)] = (layout, SparseBasis(vectors))
         return got
+
+    def basis(self, a, b):
+        """The SparseBasis of W in bidegree (a, b)."""
+        return self._space(a, b)[1]
 
     def dim(self, a, b):
         return len(self.basis(a, b))
@@ -440,21 +396,9 @@ class SheafSections:
     def act_linear(self, side, coeff_fn, a, b, vec_row):
         """Multiply a section by a global linear function given, per max
         cell, as a coefficient list over that cell's functionals."""
-        layout = self.layout(a, b)
-        if side == 0:
-            tgt_layout = self.layout(a + 1, b)
-        else:
-            tgt_layout = self.layout(a, b + 1)
-        out = {}
-        for (c, off, d), (c2, off2, d2) in zip(layout, tgt_layout):
-            comp = {i - off: v for i, v in vec_row.items()
-                    if off <= i < off + d}
-            if not comp:
-                continue
-            part = self.sheaf.mul_linear(c, side, coeff_fn(c), comp, a, b)
-            for t, v in part.items():
-                out[off2 + t] = v
-        return out
+        return self.sheaf.act(side, coeff_fn, self._space(a, b)[0],
+                              self._space(a + 1 - side, b + side)[0],
+                              vec_row, a, b)
 
 
 def build_w(fan, origin, D):
@@ -571,23 +515,27 @@ class BigradedComplex:
         return out
 
 
+def _nonzero_cohomology(fan, origin, D):
+    """Nonzero dims of H(W tensor Lambda*N, d) for the sheaf at origin,
+    by (gr, deg_x + deg_y) with deg_x + deg_y <= D - 1."""
+    if D < 1:
+        raise TruncationTooSmall("no certified window below D=1")
+    h = BigradedComplex(build_w(fan, origin, D)).cohomology()
+    return {k: d for k, d in h.items() if d}
+
+
 def verify_theorem_key(cone, D=6):
     """Vanishing of H(W tensor Lambda*N, d) for the sheaf at the zero cell,
     in every bidegree with deg_x + deg_y <= D - 1."""
     if cone.ambient_rank == 0:
         raise ValueError("rank must be positive")
-    if D < 1:
-        raise TruncationTooSmall("no certified window below D=1")
     fan = FanSpace(cone)
-    w = build_w(fan, fan.zero_cell(), D)
-    cx = BigradedComplex(w)
-    h = cx.cohomology()
-    violations = sorted((gr, s, d) for (gr, s), d in h.items() if d)
+    nonzero = _nonzero_cohomology(fan, fan.zero_cell(), D)
     return {
-        "verdict": "pass" if not violations else "fail",
+        "verdict": "pass" if not nonzero else "fail",
         "window": {"max_total_degree": D - 1},
         "violations": [{"gr": gr, "poly_degree": s, "dim": d}
-                       for gr, s, d in violations],
+                       for (gr, s), d in sorted(nonzero.items())],
     }
 
 
@@ -595,17 +543,11 @@ def verify_prop_maincoro(cone, theta0, sigma0, D=6):
     """Cohomology of the sheaf originating at (theta0, sigma0):
     zero when sigma0 is strictly below theta0*, one class in
     Lambda-degree dim theta0* at bidegree (0,0) when sigma0 = theta0*."""
-    if D < 1:
-        raise TruncationTooSmall("no certified window below D=1")
     fan = FanSpace(cone)
     tstar = annihilator_face(theta0, fan.dual_poset)
     if not fan.dual_poset.leq(sigma0, tstar):
         raise ValueError("sigma0 is not a face of theta0*")
-    origin = Cell(theta0, sigma0)
-    w = build_w(fan, origin, D)
-    cx = BigradedComplex(w)
-    h = cx.cohomology()
-    nonzero = {k: d for k, d in h.items() if d}
+    nonzero = _nonzero_cohomology(fan, fan.cell(theta0, sigma0), D)
     full = (sigma0.key() == tstar.key())
     report = {
         "origin": {"theta_dim": theta0.dim, "sigma_dim": sigma0.dim},

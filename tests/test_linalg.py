@@ -114,6 +114,10 @@ def test_integer_kernel_saturated():
     assert 2 * v[0] + 4 * v[1] == 0
     from math import gcd
     assert gcd(v[0], v[1]) == 1
+    # the kernel comes back in Hermite form
+    assert tuple(ker) == hnf_rows(ker)
+    ker3 = integer_kernel([(1, 2, 3), (2, 4, 7)], 3)
+    assert tuple(ker3) == hnf_rows(ker3) == ((2, -1, 0),)
 
 
 def test_hnf_canonical():

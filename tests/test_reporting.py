@@ -166,6 +166,18 @@ def test_cli_bad_input_exit_2():
     assert payload["error"]["type"] == "ParseError"
 
 
+def test_cli_dispatch_error_exit_2(tmp_path):
+    # the job loads, then building its certified coefficients fails
+    job = tmp_path / "degenerate.json"
+    job.write_text(json.dumps({"polytope_vertices": [[-1], [1]],
+                               "f": [[[0, 1], "0"]]}))
+    proc = _cli("hilbert", str(job))
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["error"]["type"] == "DegenerateCoefficients"
+    assert payload["exit_code"] == 2
+
+
 def test_cli_r1_and_hilbert():
     proc = _cli("r1", "corpus/segment.json")
     assert proc.returncode == 0

@@ -5,7 +5,7 @@ import pytest
 from stringykit.errors import TruncationTooSmall
 from stringykit.lattice import (cone_from_rays, cone_over_polytope, dot,
                                 points_at_degree, make_gorenstein_pair)
-from stringykit.sheaves import (BigradedComplex, FanSpace,
+from stringykit.sheaves import (BigradedComplex, Cell, FanSpace,
                                 MinimalSheaf, annihilator_face, build_w,
                                 verify_prop_maincoro, verify_theorem_key)
 
@@ -32,6 +32,32 @@ def test_fan_cells_ray():
     fan = ray_fan()
     assert len(fan.cells) == 3
     assert len(fan.maximal) == 2
+
+
+def test_fan_cells_are_canonical():
+    for fan in (quadrant_fan(), FanSpace(cone_over_polytope(SQUARE)),
+                FanSpace(cone_over_polytope(P2))):
+        cells = set(fan.cells)
+        assert fan.zero_cell() is fan.cells[0]
+        for c in fan.cells:
+            assert fan.cell(c.theta, c.sigma) is c
+            for f in fan.facets[c]:
+                assert f in cells
+                assert f.dim == c.dim - 1
+                assert fan.leq(f, c)
+            for c2 in fan.cells:
+                assert fan.meet(c, c2) in cells
+
+
+def test_minimal_sheaf_rejects_non_cell_origin():
+    fan = quadrant_fan()
+    top = fan.poset.top
+    ray = next(s for s in fan.dual_poset if s.dim == 1)
+    with pytest.raises(ValueError):
+        fan.cell(top, ray)
+    # a hand-built pair is no cell of the fan, and no sheaf starts there
+    with pytest.raises(ValueError):
+        MinimalSheaf(fan, Cell(top, ray), 3)
 
 
 def test_minimal_sheaf_simplicial_rank_one_free():
