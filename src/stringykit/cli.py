@@ -66,15 +66,14 @@ def _load_job(args, verify_override=None, timings=False):
                 raise ParseError("invalid JSON: %s" % exc, args.job)
     except OSError as exc:
         raise ParseError("cannot read job file: %s" % exc, args.job)
+    if isinstance(doc, dict):
+        # command-line values pass the same checks as the document's own
+        for key in ("max_degree", "n_cap", "output"):
+            if getattr(args, key) is not None:
+                doc[key] = getattr(args, key)
     job = parse_input(doc, default_seed=args.seed)
     if verify_override:
         job.verify = tuple(verify_override)
-    if args.max_degree is not None:
-        job.max_degree = args.max_degree
-    if args.n_cap is not None:
-        job.n_cap = args.n_cap
-    if args.output is not None:
-        job.output = args.output
     job.timings = timings
     return job
 

@@ -15,9 +15,9 @@ checked against.
 A block is a ``ConnectionData``, read from one hat model.
 ``connection_data(sigma, g0)`` certifies g0 on every face of sigma
 (``Context.face_is_nondegenerate``) and builds the block from
-``Context.hat_model``; ``connection_on_hb`` takes the models, with R1
-and the certificates of f and g, from its ``ctx`` (a
-``jacobian.Context``), so a job builds each one once.
+``Context.hat_model``; ``connection_on_hb(ctx)`` takes the models and
+R1 from the job's ``jacobian.Context``, whose f and g were certified
+when it was made, so a job builds each one once.
 ``curvature_report(block)`` checks the identity on a block.
 """
 
@@ -165,22 +165,20 @@ def curvature_report(block):
             "dim": block.dim(), "matrices": value, "derivatives": deriv}
 
 
-def connection_on_hb(pair, f, g0, ctx=None):
+def connection_on_hb(ctx):
     """One block of connection data per face theta* carrying a nonzero
-    hatted summand; parameters g(v) with v outside the face do not enter
-    the block's matrices at all."""
-    ctx = Context(pair) if ctx is None else ctx
-    ctx.certify(f, g0)
+    hatted summand, at the base point ctx.g; parameters g(v) with v
+    outside the face do not enter the block's matrices at all."""
     blocks = {}
-    for theta in pair.poset():
-        if not ctx.r1(theta, f).total():
+    for theta in ctx.pair.poset():
+        if not ctx.r1(theta, ctx.f).total():
             continue
-        sigma = dual_face(pair, theta)
+        sigma = dual_face(ctx.pair, theta)
         if sigma.key() in blocks:
             continue
-        # g0 is certified on every face above, so only stabilization is
-        # left to check
-        block = ConnectionData(ctx.hat_model(sigma, g0))
+        # the context certified g on every face, so only stabilization
+        # is left to check
+        block = ConnectionData(ctx.hat_model(sigma, ctx.g))
         if block.basis:
             blocks[sigma.key()] = block
     return [blocks[k] for k in sorted(blocks)]

@@ -358,7 +358,11 @@ class HatModel:
 
 class Context:
     """One job's state: the pair, its coefficient functions f and g, and
-    a memo of per-face objects keyed by (face, coefficient function).
+    a memo of per-face objects keyed by (kind, face, function).
+
+    ``Context(pair, f, g)`` certifies f and g, which come together or not
+    at all; the job-level entry points of ``koszul`` and ``gkz`` read
+    them as certified.
 
     The context is the one builder of per-face objects: each is built on
     its first request only.  A call that raises stores nothing, so it
@@ -368,10 +372,20 @@ class Context:
     context.
     """
 
-    def __init__(self, pair=None):
+    def __init__(self, pair=None, f=None, g=None):
+        if (f is None) != (g is None):
+            raise ValueError("f and g are given together or not at all")
         self.pair = pair
-        self.f = self.g = None      # set once built and certified here
         self._memo = {}
+        if f is not None:
+            self.certify(f, g)
+        self.f, self.g = f, g
+
+    def swap(self):
+        """The swapped pair's context, f and g exchanged, on this memo."""
+        other = Context(self.pair.swap())
+        other._memo, other.f, other.g = self._memo, self.g, self.f
+        return other
 
     def _get(self, key, build):
         got = self._memo.get(key)

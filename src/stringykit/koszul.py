@@ -14,23 +14,18 @@ supported below the cap, modulo exact boundaries of vectors supported
 one step lower.  Stabilization over consecutive caps plus the
 R1/R1-hat assembly oracle certify the result.
 
-Each entry point certifies f and g through its ``ctx`` (a
-``jacobian.Context``), which does so once per job; the assemblies read
-R1 and R1-hat from the same context (``Context.r1``, ``Context.r1_hat``).
-Without a context, one is built for the call.
+The job-level entry points take one ``jacobian.Context``, whose f and g
+were certified when it was made; the assemblies read R1 and R1-hat from
+it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
+(``v_basis``, columns, matrices) take explicit data and certify nothing.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .errors import InfinitePiece
-from .jacobian import Context
+from .errors import InfinitePiece, TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
 from .linalg import exact_rank
-
-
-def _pts(pair, cone, k):
-    poset = pair.poset() if cone == pair.cone else pair.dual_poset()
-    return points_at_degree(poset.top, k, pair.grading(cone))
 
 
 def _wedges(r):
@@ -49,10 +44,13 @@ def v_basis(pair, grading, bound, n_cap=None):
     """
     r = pair.rank
     wedges = _wedges(r)
+    top, dual_top = pair.poset().top, pair.dual_poset().top
     out = {}
     if grading == "d":
-        pts_m = [_pts(pair, pair.cone, a) for a in range(bound + 1)]
-        pts_n = [_pts(pair, pair.dual, b) for b in range(bound + 1)]
+        pts_m = [points_at_degree(top, a, pair.deg_dual)
+                 for a in range(bound + 1)]
+        pts_n = [points_at_degree(dual_top, b, pair.deg)
+                 for b in range(bound + 1)]
         for k in range(bound + 1):
             elems = []
             for a in range(k + 1):
@@ -66,8 +64,10 @@ def v_basis(pair, grading, bound, n_cap=None):
         if n_cap is None:
             raise InfinitePiece(
                 "d-hat graded pieces are infinite without an n-degree cap")
-        pts_m = [_pts(pair, pair.cone, a) for a in range(bound // 2 + 1)]
-        pts_n = [_pts(pair, pair.dual, b) for b in range(n_cap + 1)]
+        pts_m = [points_at_degree(top, a, pair.deg_dual)
+                 for a in range(bound // 2 + 1)]
+        pts_n = [points_at_degree(dual_top, b, pair.deg)
+                 for b in range(n_cap + 1)]
         for gv in range(bound + 1):
             elems = []
             for a in range(gv // 2 + 1):
@@ -194,9 +194,11 @@ class CohomologyReport:
     flags: dict
 
 
-def cohomology_d(pair, f, g, D=6, ctx=None):
+def cohomology_d(ctx, D=6):
     """Cohomology of (V, d) in gradings 0..D-1 by exact sparse ranks."""
-    (Context(pair) if ctx is None else ctx).certify(f, g)
+    if D < 1:
+        raise TruncationTooSmall("cohomology_d needs D >= 1")
+    pair, f, g = ctx.pair, ctx.f, ctx.g
     basis = v_basis(pair, "d", D)
     vdims = {k: len(basis[k]) for k in range(D + 1)}
     ranks = {}
@@ -216,40 +218,37 @@ def cohomology_d(pair, f, g, D=6, ctx=None):
                             euler_ok=(lhs == rhs), flags={})
 
 
-def decomposition_dims(pair, f, g, ctx=None):
-    """Face-by-face convolution of R1 dims: the decomposition side of the
-    plain double Koszul cohomology."""
-    ctx = Context(pair) if ctx is None else ctx
-    ctx.certify(f, g)
+def _face_sum(ctx, summand):
+    """Sum over the faces theta of the pair of summand(theta, theta*), a
+    {grading: dim} dict; faces with an empty summand are left out."""
     per_face = []
     total = {}
-    for theta in pair.poset():
-        sigma = dual_face(pair, theta)
-        rf = ctx.r1(theta, f).dims_dict()
-        rg = ctx.r1(sigma, g).dims_dict()
+    for theta in ctx.pair.poset():
+        conv = summand(theta, dual_face(ctx.pair, theta))
+        if not conv:
+            continue
+        per_face.append({"theta_dim": theta.dim, "theta": list(theta.key()),
+                         "dims": conv})
+        for k, d in conv.items():
+            total[k] = total.get(k, 0) + d
+    return {"per_face": per_face, "total": total}
+
+
+def decomposition_dims(ctx):
+    """Face-by-face convolution of R1 dims: the decomposition side of the
+    plain double Koszul cohomology."""
+    def summand(theta, sigma):
+        rf = ctx.r1(theta, ctx.f).dims_dict()
+        rg = ctx.r1(sigma, ctx.g).dims_dict()
         conv = {}
         for i, di in rf.items():
             for j, dj in rg.items():
                 conv[i + j] = conv.get(i + j, 0) + di * dj
-        if conv:
-            per_face.append({"theta_dim": theta.dim,
-                             "theta": list(theta.key()),
-                             "dims": conv})
-            for k, d in conv.items():
-                total[k] = total.get(k, 0) + d
-    return {"per_face": per_face, "total": total}
+        return conv
+    return _face_sum(ctx, summand)
 
 
-def _hat_rank(pair, f, g, basis_cache, gv, cap):
-    """Rank of the exact d_hat on basis vectors of n-degree <= cap."""
-    if gv < 0 or cap < 0:
-        return 0
-    elems = basis_cache(gv, cap)
-    cols = [(dhat_column(pair, f, g, e), None) for e in elems]
-    return _split_rank(cols)
-
-
-def cohomology_dhat(pair, f, g, D=6, p_max=8, ctx=None):
+def cohomology_dhat(ctx, D=6, p_max=8):
     """Stabilized d_hat cohomology dims per hat-grading <= D.
 
     For the cap c, the computed number is
@@ -258,22 +257,19 @@ def cohomology_dhat(pair, f, g, D=6, p_max=8, ctx=None):
     A grading is stabilized when two consecutive caps agree; the report
     flags gradings that never stabilize (not fatal, per-grading).
     """
-    (Context(pair) if ctx is None else ctx).certify(f, g)
-    basis_memo = {}
+    if p_max < 2:
+        raise TruncationTooSmall("cohomology_dhat needs p_max >= 2")
+    pair, f, g = ctx.pair, ctx.f, ctx.g
 
+    @lru_cache(maxsize=None)
     def basis_at(gv, cap):
-        key = (gv, cap)
-        if key not in basis_memo:
-            basis_memo[key] = v_basis(pair, "dhat", gv, n_cap=cap)[gv]
-        return basis_memo[key]
+        return v_basis(pair, "dhat", gv, n_cap=cap)[gv]
 
-    rank_memo = {}
-
+    @lru_cache(maxsize=None)
     def rank_at(gv, cap):
-        key = (gv, cap)
-        if key not in rank_memo:
-            rank_memo[key] = _hat_rank(pair, f, g, basis_at, gv, cap)
-        return rank_memo[key]
+        """Rank of the exact d_hat on basis vectors of n-degree <= cap."""
+        return exact_rank(
+            [dhat_column(pair, f, g, e) for e in basis_at(gv, cap)])
 
     def h_at(gv, cap):
         kdim = len(basis_at(gv, cap)) - rank_at(gv, cap)
@@ -310,39 +306,25 @@ def cohomology_dhat(pair, f, g, D=6, p_max=8, ctx=None):
                             euler_ok=True, flags=flags)
 
 
-def cohomology_ha(pair, f, g, D=None, p_max=8):
+def cohomology_ha(ctx, D=None, p_max=8):
     """The A-space by delegation: H_A of (f, g) is H_B of the swapped
     pair with the coefficient roles exchanged.  No second differential
     implementation exists on purpose (one sign convention, one code
     path)."""
-    swapped = pair.swap()
     if D is None:
-        D = 2 * pair.rank
-    return cohomology_dhat(swapped, g, f, D=D, p_max=p_max)
+        D = 2 * ctx.pair.rank
+    return cohomology_dhat(ctx.swap(), D=D, p_max=p_max)
 
 
-def hb_assemble(pair, f, g, ctx=None):
+def hb_assemble(ctx):
     """Assembly of the deformed cohomology from faces: each graded piece
     R1(f, theta)_i tensor R1hat(g, theta*) lands in grading
-    2 i + dim theta*."""
-    ctx = Context(pair) if ctx is None else ctx
-    ctx.certify(f, g)
-    per_face = []
-    total = {}
-    for theta in pair.poset():
-        sigma = dual_face(pair, theta)
-        rf = ctx.r1(theta, f).dims_dict()
+    2 i + dim theta*.  R1-hat is read only where R1(f, theta) != 0."""
+    def summand(theta, sigma):
+        rf = ctx.r1(theta, ctx.f).dims_dict()
         if not rf:
-            continue
-        hat_total = ctx.r1_hat(sigma, g).total()
-        if not hat_total:
-            continue
-        conv = {}
-        for i, di in rf.items():
-            gv = 2 * i + sigma.dim
-            conv[gv] = conv.get(gv, 0) + di * hat_total
-        per_face.append({"theta_dim": theta.dim, "theta": list(theta.key()),
-                         "dims": conv})
-        for gv, d in conv.items():
-            total[gv] = total.get(gv, 0) + d
-    return {"per_face": per_face, "total": total}
+            return {}
+        hat_total = ctx.r1_hat(sigma, ctx.g).total()
+        return {2 * i + sigma.dim: di * hat_total
+                for i, di in rf.items() if hat_total}
+    return _face_sum(ctx, summand)

@@ -385,14 +385,6 @@ class GorensteinPair:
     def dual_poset(self):
         return faces(self.dual)
 
-    def grading(self, cone):
-        """Height functional for lattice points of the given side."""
-        if cone == self.cone:
-            return self.deg_dual
-        if cone == self.dual:
-            return self.deg
-        raise ValueError("cone does not belong to this pair")
-
     def delta(self):
         """Degree-one points of K (the support of f)."""
         return points_at_degree(self.poset().top, 1, self.deg_dual)

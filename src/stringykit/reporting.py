@@ -6,9 +6,9 @@ byte-identical output.  Rationals travel as strings, dimension tables as
 clock timings are added only on request since they would break report
 determinism.
 
-A job runs in one ``jacobian.Context``: it certifies f and g and holds
-every per-face quotient, R1 space and certified hat model, so the
-verifiers share them and none is built twice.
+A job runs in one ``jacobian.Context``: the pair, the certified f and g,
+and every per-face quotient, R1 space and certified hat model.  Every
+verifier reads it, or its ``swap()`` for the A side; none builds twice.
 """
 
 import json
@@ -24,7 +24,7 @@ from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
                      hb_assemble)
 from .lattice import (annihilator_face, cone_from_rays, cone_over_polytope,
                       make_gorenstein_pair, points_at_degree)
-from .sheaves import verify_prop_maincoro, verify_theorem_key
+from .sheaves import FanSpace, verify_prop_maincoro, verify_theorem_key
 
 SCHEMA_VERSION = "1"
 VERIFICATION_NAMES = ("thm-key", "thm-main", "prop-maincoro", "bhiso",
@@ -157,6 +157,9 @@ def parse_input(doc, default_seed=0):
                          "max_degree")
     if not _is_int(n_cap) or n_cap < 2:
         raise ParseError("n_cap must be an integer >= 2", "n_cap")
+    output = doc.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ParseError("output must be a path string", "output")
     return JobSpec(
         cone_kind=kind,
         cone_data=tuple(tuple(row) for row in data),
@@ -165,7 +168,7 @@ def parse_input(doc, default_seed=0):
         max_degree=max_degree,
         n_cap=n_cap,
         verify=tuple(verify),
-        output=doc.get("output"),
+        output=output,
     )
 
 
@@ -232,9 +235,8 @@ def _verify_thm_key(ctx, job):
 
 
 def _verify_thm_main(ctx, job):
-    pair, f, g = ctx.pair, ctx.f, ctx.g
-    rep = cohomology_d(pair, f, g, D=job.max_degree, ctx=ctx)
-    deco = decomposition_dims(pair, f, g, ctx=ctx)
+    rep = cohomology_d(ctx, D=job.max_degree)
+    deco = decomposition_dims(ctx)
     match = all(rep.dims[k] == deco["total"].get(k, 0)
                 for k in range(job.max_degree))
     return {
@@ -247,17 +249,16 @@ def _verify_thm_main(ctx, job):
 
 
 def _verify_prop_maincoro(ctx, job):
-    pair = ctx.pair
-    poset, dual_poset = pair.poset(), pair.dual_poset()
+    fan = FanSpace(ctx.pair.cone)
     D = min(job.max_degree, 5)
     cases = []
     verdict = "pass"
-    for theta0 in poset:
-        tstar = annihilator_face(theta0, dual_poset)
-        for sigma0 in dual_poset:
-            if not dual_poset.leq(sigma0, tstar):
+    for theta0 in fan.poset:
+        tstar = annihilator_face(theta0, fan.dual_poset)
+        for sigma0 in fan.dual_poset:
+            if not fan.dual_poset.leq(sigma0, tstar):
                 continue
-            rep = verify_prop_maincoro(pair.cone, theta0, sigma0, D=D)
+            rep = verify_prop_maincoro(fan, theta0, sigma0, D=D)
             if rep["verdict"] != "pass":
                 verdict = "fail"
             cases.append({
@@ -271,15 +272,13 @@ def _verify_prop_maincoro(ctx, job):
 
 
 def _verify_bhiso(ctx, job):
-    pair = ctx.pair
     records = []
     verdict = "pass"
-    for side_pair, fn, label in ((pair, ctx.g, "dual"),
-                                 (pair.swap(), ctx.f, "primal")):
-        for sigma in side_pair.dual_poset():
-            graded = ctx.r1(sigma, fn).dims_dict()
+    for side, label in ((ctx, "dual"), (ctx.swap(), "primal")):
+        for sigma in side.pair.dual_poset():
+            graded = side.r1(sigma, side.g).dims_dict()
             try:
-                hat = ctx.r1_hat(sigma, fn).dims_dict()
+                hat = side.r1_hat(sigma, side.g).dims_dict()
                 ok = hat == graded
             except StringyKitError:
                 hat = None
@@ -298,8 +297,7 @@ def _verify_bhiso(ctx, job):
 
 
 def _verify_flatness(ctx, job):
-    g = ctx.g
-    blocks = connection_on_hb(ctx.pair, ctx.f, g, ctx=ctx)
+    blocks = connection_on_hb(ctx)
     out = []
     verdict = "pass"
     for block in blocks:
@@ -323,10 +321,8 @@ def _verify_flatness(ctx, job):
 
 
 def _verify_maingkz(ctx, job):
-    pair, f, g = ctx.pair, ctx.f, ctx.g
-    rep = cohomology_dhat(pair, f, g, D=2 * pair.rank,
-                          p_max=job.n_cap, ctx=ctx)
-    hb = hb_assemble(pair, f, g, ctx=ctx)
+    rep = cohomology_dhat(ctx, D=2 * ctx.pair.rank, p_max=job.n_cap)
+    hb = hb_assemble(ctx)
     got = {k: v for k, v in rep.dims.items() if v}
     if rep.flags:
         verdict = "not-stabilized"
@@ -437,13 +433,11 @@ def r1_tables(job):
 
 def cohomology_table(job, differential="d"):
     ctx = _job_context(job)
-    pair, f, g = ctx.pair, ctx.f, ctx.g
     if differential == "d":
-        rep = cohomology_d(pair, f, g, D=job.max_degree, ctx=ctx)
+        rep = cohomology_d(ctx, D=job.max_degree)
         verdict = "pass"
     elif differential == "dhat":
-        rep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=job.n_cap,
-                              ctx=ctx)
+        rep = cohomology_dhat(ctx, D=2 * ctx.pair.rank, p_max=job.n_cap)
         verdict = "not-stabilized" if rep.flags else "pass"
     else:
         raise ParseError("differential must be 'd' or 'dhat'",

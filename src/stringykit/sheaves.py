@@ -539,11 +539,11 @@ def verify_theorem_key(cone, D=6):
     }
 
 
-def verify_prop_maincoro(cone, theta0, sigma0, D=6):
-    """Cohomology of the sheaf originating at (theta0, sigma0):
-    zero when sigma0 is strictly below theta0*, one class in
-    Lambda-degree dim theta0* at bidegree (0,0) when sigma0 = theta0*."""
-    fan = FanSpace(cone)
+def verify_prop_maincoro(fan, theta0, sigma0, D=6):
+    """Cohomology of the sheaf of the FanSpace fan originating at
+    (theta0, sigma0): zero when sigma0 is strictly below theta0*, one
+    class in Lambda-degree dim theta0* at bidegree (0,0) when
+    sigma0 = theta0*."""
     tstar = annihilator_face(theta0, fan.dual_poset)
     if not fan.dual_poset.leq(sigma0, tstar):
         raise ValueError("sigma0 is not a face of theta0*")

@@ -69,7 +69,7 @@ def test_criterion_2_prop_maincoro():
             for sigma0 in fan.dual_poset:
                 if not fan.dual_poset.leq(sigma0, tstar):
                     continue
-                rep = verify_prop_maincoro(cone, theta0, sigma0, D=5)
+                rep = verify_prop_maincoro(fan, theta0, sigma0, D=5)
                 assert rep["verdict"] == "pass", (theta0, sigma0, rep)
                 if sigma0.key() == tstar.key():
                     assert rep["computed_lambda_degree"] == tstar.dim
@@ -86,8 +86,8 @@ def test_criterion_3_theorem_main_decomposition():
         for seed in (1, 2, 3):
             f = random_coefficients(pair, "f", seed=seed)
             g = random_coefficients(pair, "g", seed=seed + 100)
-            rep = cohomology_d(pair, f, g, D=6)
-            deco = decomposition_dims(pair, f, g)
+            rep = cohomology_d(Context(pair, f, g), D=6)
+            deco = decomposition_dims(Context(pair, f, g))
             for k in range(6):
                 assert rep.dims[k] == deco["total"].get(k, 0), \
                     (label, seed, k)
@@ -124,11 +124,11 @@ def test_criterion_5_maingkz_hatted_cohomology():
     for label, pair in _pairs().items():
         f = random_coefficients(pair, "f", seed=1)
         g = random_coefficients(pair, "g", seed=2)
-        rep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=8)
+        rep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
         assert not rep.flags, (label, rep.flags)
         assert all(p <= 8 for p in rep.window["stabilized_at"].values())
         got = {k: v for k, v in rep.dims.items() if v}
-        assert got == hb_assemble(pair, f, g)["total"], label
+        assert got == hb_assemble(Context(pair, f, g))["total"], label
         if label == "p2_triangle":
             assert got == {2: 1, 3: 2, 4: 1}
     _report("5 (stabilized hatted cohomology = assembly, p <= 8, exact)",
@@ -147,7 +147,7 @@ def test_criterion_6_maingkz_flatness():
     blocks_seen = 0
     for seed in (2, 3, 4):
         g = random_coefficients(pair, "g", seed=seed)
-        blocks = connection_on_hb(pair, f, g)
+        blocks = connection_on_hb(Context(pair, f, g))
         for block in blocks:
             if not block.matrices:
                 continue
@@ -219,8 +219,8 @@ def test_criterion_7_structural_suites():
     pair = pairs["p2_triangle"]
     f = random_coefficients(pair, "f", seed=5)
     g = random_coefficients(pair, "g", seed=6)
-    a = decomposition_dims(pair, f, g)["total"]
-    b = decomposition_dims(pair.swap(), g, f)["total"]
+    a = decomposition_dims(Context(pair, f, g))["total"]
+    b = decomposition_dims(Context(pair.swap(), g, f))["total"]
     assert sum(a.values()) == sum(b.values())
     from fractions import Fraction
     for face in pair.poset():

@@ -14,11 +14,10 @@ import pytest
 
 from stringykit import jacobian, sheaves
 from stringykit.errors import DegenerateCoefficients, StabilizationFailed
-from stringykit.gkz import connection_on_hb
 from stringykit.gpoly import g_polynomial
 from stringykit.jacobian import (Context, GradedQuotient, HatModel,
                                  coefficient_function, random_coefficients)
-from stringykit.koszul import cohomology_d, hb_assemble
+from stringykit.koszul import cohomology_dhat, cohomology_ha
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
                                 make_gorenstein_pair)
 from stringykit.reporting import parse_input, render_report, run
@@ -105,13 +104,39 @@ def _degenerate_cases():
     return pair, [(f0, g), (f, g0)]
 
 
-@pytest.mark.parametrize("verifier", [cohomology_d, hb_assemble,
-                                      connection_on_hb])
-def test_degenerate_rejected_without_context(verifier):
+def test_context_rejects_degenerate_coefficients():
     pair, cases = _degenerate_cases()
     for f, g in cases:
         with pytest.raises(DegenerateCoefficients):
-            verifier(pair, f, g)
+            Context(pair, f, g)
+
+
+def test_context_takes_f_and_g_together():
+    pair = make_gorenstein_pair(cone_over_polytope(P2))
+    f = random_coefficients(pair, "f", 1)
+    with pytest.raises(ValueError):
+        Context(pair, f)
+
+
+def test_swapped_context_shares_the_memo():
+    pair = make_gorenstein_pair(cone_over_polytope(P2))
+    f = random_coefficients(pair, "f", 1)
+    g = random_coefficients(pair, "g", 2)
+    ctx = Context(pair, f, g)
+    back = ctx.swap().swap()
+    assert (back.pair, back.f, back.g) == (ctx.pair, ctx.f, ctx.g)
+    assert ctx.swap().pair == pair.swap()
+    assert (ctx.swap().f, ctx.swap().g) == (g, f)
+    top = pair.poset().top
+    assert ctx.swap().r1(top, ctx.f) is ctx.r1(top, ctx.f)
+
+
+def test_ha_is_hb_of_the_swapped_context():
+    pair = make_gorenstein_pair(cone_over_polytope(P2))
+    f = random_coefficients(pair, "f", 1)
+    g = random_coefficients(pair, "g", 2)
+    assert cohomology_ha(Context(pair, f, g)).dims == \
+        cohomology_dhat(Context(pair.swap(), g, f)).dims
 
 
 def test_failures_raise_on_every_call(monkeypatch):
@@ -170,7 +195,7 @@ def test_prop_maincoro_sweeps_keep_no_sheaf_alive(monkeypatch):
             tstar = annihilator_face(theta0, fan.dual_poset)
             for sigma0 in fan.dual_poset:
                 if fan.dual_poset.leq(sigma0, tstar):
-                    rep = verify_prop_maincoro(cone, theta0, sigma0, D=3)
+                    rep = verify_prop_maincoro(fan, theta0, sigma0, D=3)
                     assert rep["verdict"] == "pass"
 
     counts = []

@@ -159,7 +159,7 @@ def test_connection_blocks_match_hb_summands():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    blocks = connection_on_hb(pair, f, g)
+    blocks = connection_on_hb(Context(pair, f, g))
     assert len(blocks) == 2
     dims = sorted(b.dim() for b in blocks)
     assert dims == [1, 2]
@@ -169,7 +169,7 @@ def test_connection_blocks_match_hb_summands():
     # the zero-face block has no parameters at all
     trivial = next(b for b in blocks if b.dim() == 1)
     assert trivial.matrices == {}
-    hb = hb_assemble(pair, f, g)
+    hb = hb_assemble(Context(pair, f, g))
     assert sum(hb["total"].values()) == 4
 
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from stringykit.errors import DegenerateCoefficients, InfinitePiece
-from stringykit.jacobian import coefficient_function, random_coefficients
+from stringykit.errors import (DegenerateCoefficients, InfinitePiece,
+                               TruncationTooSmall)
+from stringykit.jacobian import (Context, coefficient_function,
+                                 random_coefficients)
 from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
                                d_column, d_matrix, decomposition_dims,
                                dhat_column, dhat_matrix, hb_assemble,
@@ -98,7 +100,7 @@ def test_cohomology_r1_all_zero():
     pair = ray_pair()
     f = coeffs_const(pair, "f", 2)
     g = coeffs_const(pair, "g", 3)
-    rep = cohomology_d(pair, f, g, D=5)
+    rep = cohomology_d(Context(pair, f, g), D=5)
     assert all(d == 0 for d in rep.dims.values())
     assert rep.euler_ok
 
@@ -108,7 +110,16 @@ def test_degenerate_rejected():
     f0 = coeffs_const(pair, "f", 0)
     g = random_coefficients(pair, "g", seed=1)
     with pytest.raises(DegenerateCoefficients):
-        cohomology_d(pair, f0, g, D=3)
+        cohomology_d(Context(pair, f0, g), D=3)
+
+
+def test_truncations_below_one_grading_rejected():
+    pair = ray_pair()
+    ctx = Context(pair, coeffs_const(pair, "f", 2), coeffs_const(pair, "g", 3))
+    with pytest.raises(TruncationTooSmall):
+        cohomology_d(ctx, D=0)
+    with pytest.raises(TruncationTooSmall):
+        cohomology_dhat(ctx, D=2, p_max=1)
 
 
 def test_thm_main_p2_three_seeds():
@@ -116,8 +127,8 @@ def test_thm_main_p2_three_seeds():
     for seed in (1, 2, 3):
         f = random_coefficients(pair, "f", seed=seed)
         g = random_coefficients(pair, "g", seed=seed + 100)
-        rep = cohomology_d(pair, f, g, D=6)
-        deco = decomposition_dims(pair, f, g)
+        rep = cohomology_d(Context(pair, f, g), D=6)
+        deco = decomposition_dims(Context(pair, f, g))
         for k in range(6):
             assert rep.dims[k] == deco["total"].get(k, 0), (seed, k)
         assert sum(rep.dims.values()) == 4
@@ -129,8 +140,8 @@ def test_thm_main_segment_and_ray():
         for seed in (1, 2):
             f = random_coefficients(pair, "f", seed=seed)
             g = random_coefficients(pair, "g", seed=seed + 7)
-            rep = cohomology_d(pair, f, g, D=5)
-            deco = decomposition_dims(pair, f, g)
+            rep = cohomology_d(Context(pair, f, g), D=5)
+            deco = decomposition_dims(Context(pair, f, g))
             for k in range(5):
                 assert rep.dims[k] == deco["total"].get(k, 0)
 
@@ -139,7 +150,7 @@ def test_decomposition_p2_split():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=4)
     g = random_coefficients(pair, "g", seed=5)
-    deco = decomposition_dims(pair, f, g)
+    deco = decomposition_dims(Context(pair, f, g))
     # contributions only from the zero face and the full cone, 2 each
     by_dim = {rec["theta_dim"]: sum(rec["dims"].values())
               for rec in deco["per_face"]}
@@ -151,8 +162,8 @@ def test_swap_symmetry():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=6)
     g = random_coefficients(pair, "g", seed=7)
-    a = decomposition_dims(pair, f, g)["total"]
-    b = decomposition_dims(pair.swap(), g, f)["total"]
+    a = decomposition_dims(Context(pair, f, g))["total"]
+    b = decomposition_dims(Context(pair.swap(), g, f))["total"]
     assert sum(a.values()) == sum(b.values())
     assert a == b
 
@@ -161,8 +172,9 @@ def test_rescaling_invariance():
     pair = segment_pair()
     f = random_coefficients(pair, "f", seed=8)
     g = random_coefficients(pair, "g", seed=9)
-    base = cohomology_d(pair, f, g, D=4).dims
-    scaled = cohomology_d(pair, f.scaled(Fraction(5, 2)), g, D=4).dims
+    base = cohomology_d(Context(pair, f, g), D=4).dims
+    scaled = cohomology_d(Context(pair, f.scaled(Fraction(5, 2)), g),
+                          D=4).dims
     assert base == scaled
 
 
@@ -198,7 +210,7 @@ def test_cohomology_dhat_r1_all_zero():
     pair = ray_pair()
     f = coeffs_const(pair, "f", 2)
     g = coeffs_const(pair, "g", 3)
-    rep = cohomology_dhat(pair, f, g, D=4, p_max=8)
+    rep = cohomology_dhat(Context(pair, f, g), D=4, p_max=8)
     assert not rep.flags
     assert all(d == 0 for d in rep.dims.values())
 
@@ -207,7 +219,7 @@ def test_hb_assemble_p2():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    hb = hb_assemble(pair, f, g)
+    hb = hb_assemble(Context(pair, f, g))
     assert hb["total"] == {2: 1, 3: 2, 4: 1}
     # the zero-face summand lands at grading r
     zero_rec = next(r for r in hb["per_face"] if r["theta_dim"] == 0)
@@ -218,8 +230,8 @@ def test_hb_total_matches_decomposition_total():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=3)
     g = random_coefficients(pair, "g", seed=4)
-    hb = hb_assemble(pair, f, g)
-    deco = decomposition_dims(pair, f, g)
+    hb = hb_assemble(Context(pair, f, g))
+    deco = decomposition_dims(Context(pair, f, g))
     assert sum(hb["total"].values()) == sum(deco["total"].values())
 
 
@@ -227,21 +239,21 @@ def test_maingkz_p2():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    rep = cohomology_dhat(pair, f, g, D=6, p_max=8)
+    rep = cohomology_dhat(Context(pair, f, g), D=6, p_max=8)
     assert not rep.flags
     got = {gv: d for gv, d in rep.dims.items() if d}
     assert got == {2: 1, 3: 2, 4: 1}
-    assert got == hb_assemble(pair, f, g)["total"]
+    assert got == hb_assemble(Context(pair, f, g))["total"]
 
 
 def test_maingkz_segment():
     pair = segment_pair()
     f = random_coefficients(pair, "f", seed=11)
     g = random_coefficients(pair, "g", seed=12)
-    rep = cohomology_dhat(pair, f, g, D=5, p_max=8)
+    rep = cohomology_dhat(Context(pair, f, g), D=5, p_max=8)
     assert not rep.flags
     got = {gv: d for gv, d in rep.dims.items() if d}
-    assert got == hb_assemble(pair, f, g)["total"]
+    assert got == hb_assemble(Context(pair, f, g))["total"]
 
 
 def test_index_two_cayley_pair_both_theorems():
@@ -253,27 +265,28 @@ def test_index_two_cayley_pair_both_theorems():
     assert dot(pair.deg, pair.deg_dual) == 2
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    deco = decomposition_dims(pair, f, g)
+    deco = decomposition_dims(Context(pair, f, g))
     assert deco["total"] == {2: 2}
-    rep = cohomology_d(pair, f, g, D=5)
+    rep = cohomology_d(Context(pair, f, g), D=5)
     assert {k: v for k, v in rep.dims.items() if v} == {2: 2}
-    hrep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=8)
+    hrep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
     assert not hrep.flags
     assert {k: v for k, v in hrep.dims.items() if v} == \
-        hb_assemble(pair, f, g)["total"] == {4: 2}
+        hb_assemble(Context(pair, f, g))["total"] == {4: 2}
 
 
 def test_ha_by_delegation():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    arep = cohomology_ha(pair, f, g)
+    arep = cohomology_ha(Context(pair, f, g))
     assert not arep.flags
     got = {k: v for k, v in arep.dims.items() if v}
     # for this pair the A side mirrors the B side
-    assert got == hb_assemble(pair.swap(), g, f)["total"] == {2: 1, 3: 2, 4: 1}
+    assert got == hb_assemble(Context(pair.swap(), g, f))["total"] \
+        == {2: 1, 3: 2, 4: 1}
     # and total dimension agrees with the B space
-    brep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=8)
+    brep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
     assert sum(got.values()) == sum(v for v in brep.dims.values() if v)
 
 
@@ -285,10 +298,10 @@ def test_index_two_empty_intersection_is_zero():
     assert dot(pair.deg, pair.deg_dual) == 2
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    assert decomposition_dims(pair, f, g)["total"] == {}
-    rep = cohomology_d(pair, f, g, D=5)
+    assert decomposition_dims(Context(pair, f, g))["total"] == {}
+    rep = cohomology_d(Context(pair, f, g), D=5)
     assert all(v == 0 for v in rep.dims.values())
-    hrep = cohomology_dhat(pair, f, g, D=2 * pair.rank, p_max=8)
+    hrep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
     assert not hrep.flags
     assert all(v == 0 for v in hrep.dims.values())
-    assert hb_assemble(pair, f, g)["total"] == {}
+    assert hb_assemble(Context(pair, f, g))["total"] == {}

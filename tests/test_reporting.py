@@ -214,3 +214,24 @@ def test_cli_report_timings_flag():
     # and the default report has none, keeping byte determinism
     proc2 = _cli("report", "corpus/r1_ray.json")
     assert "timings" not in json.loads(proc2.stdout)
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["verify", "thm-main", "--max-degree", "0"], None),
+    (["cohomology", "--max-degree", "0"], None),
+    (["verify", "maingkz", "--n-cap", "1"], None),
+    (["inspect"], {"output": 2}),
+    (["inspect"], {"output": ["x"]}),
+], ids=["max-degree-verify", "max-degree-cohomology", "n-cap", "output-int",
+        "output-list"])
+def test_cli_overrides_and_output_are_validated(tmp_path, argv, doc):
+    job = CORPUS / "segment.json"
+    if doc is not None:
+        job = tmp_path / "job.json"
+        job.write_text(json.dumps(
+            dict(json.loads((CORPUS / "segment.json").read_text()), **doc)))
+    proc = _cli(*argv, str(job))
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["error"]["type"] == "ParseError"
+    assert payload["exit_code"] == 2

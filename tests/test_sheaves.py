@@ -235,7 +235,7 @@ def test_prop_maincoro_quadrant_all_origins():
         for sigma0 in fan.dual_poset:
             if not fan.dual_poset.leq(sigma0, tstar):
                 continue
-            report = verify_prop_maincoro(cone, theta0, sigma0, D=5)
+            report = verify_prop_maincoro(fan, theta0, sigma0, D=5)
             assert report["verdict"] == "pass", (theta0, sigma0, report)
             if sigma0.key() == tstar.key():
                 assert report["computed_lambda_degree"] == tstar.dim
