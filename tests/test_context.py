@@ -14,10 +14,12 @@ import pytest
 
 from stringykit import jacobian, sheaves
 from stringykit.errors import DegenerateCoefficients, StabilizationFailed
+from stringykit.gkz import connection_on_hb
 from stringykit.gpoly import g_polynomial
 from stringykit.jacobian import (Context, GradedQuotient, HatModel,
                                  coefficient_function, random_coefficients)
-from stringykit.koszul import cohomology_dhat, cohomology_ha
+from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
+                               hb_assemble)
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
                                 make_gorenstein_pair)
 from stringykit.reporting import parse_input, render_report, run
@@ -104,11 +106,15 @@ def _degenerate_cases():
     return pair, [(f0, g), (f, g0)]
 
 
-def test_context_rejects_degenerate_coefficients():
+@pytest.mark.parametrize("verifier", [cohomology_d, hb_assemble,
+                                      connection_on_hb])
+def test_degenerate_rejected_without_context(verifier):
+    """A verifier takes only a certified context, and Context(pair, f, g)
+    refuses degenerate f or g before the verifier can run."""
     pair, cases = _degenerate_cases()
     for f, g in cases:
         with pytest.raises(DegenerateCoefficients):
-            Context(pair, f, g)
+            verifier(Context(pair, f, g))
 
 
 def test_context_takes_f_and_g_together():
