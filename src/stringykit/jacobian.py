@@ -1,9 +1,10 @@
 """Semigroup rings of faces, logarithmic-derivative ideals, the spaces R1,
 and the filtered hat-module variant with its stabilization certificate.
 
-Ring elements are sparse dicts keyed by lattice points.  All quotients
-are handled degree by degree through echelon bases, so dimensions and
-canonical representatives come out of the same computation.
+Ring elements are sparse dicts keyed by lattice points.  One class,
+``HatModel``, is the ideal model of a face: the graded Jacobian quotient
+is the hat model without its deformation term.  Its echelon basis gives
+dimensions and canonical representatives in one computation.
 
 A ``Context`` is the one way to a per-face object: its methods
 ``quotient``, ``r1``, ``face_is_nondegenerate``, ``is_nondegenerate``,
@@ -13,11 +14,12 @@ without a job builds a throwaway ``Context()``.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DegenerateCoefficients, StabilizationFailed
 from .lattice import dot, faces, padd, points_at_degree, span_coords
-from .linalg import Echelon, rational
+from .linalg import Echelon, rational, vec_add
 
 MAX_RESAMPLE = 32
 
@@ -106,8 +108,6 @@ def _delta_in_face(face, f):
 def log_derivative_elements(face, f):
     """One degree-one element per basis functional mu on span(face):
     sum over m in the face's degree-one points of f(m) mu(m) [m]."""
-    if face.dim == 0:
-        return []
     pts = _delta_in_face(face, f)
     coords = {m: span_coords(face, m) for m in pts}
     out = []
@@ -121,35 +121,6 @@ def log_derivative_elements(face, f):
     return out
 
 
-class GradedQuotient:
-    """C[face]/I_{f,face} truncated at degree D = dim(face) + 2, with
-    reduction maps."""
-
-    def __init__(self, face, f, generators=None):
-        self.D = face.dim + 2
-        gens = log_derivative_elements(face, f) \
-            if generators is None else generators
-        points = {k: points_at_degree(face, k, f.lam)
-                  for k in range(self.D + 1)}
-        self._ideal = {}
-        self.dims = {}
-        for k in range(self.D + 1):
-            ech = Echelon()
-            if k >= 1:
-                for c in points[k - 1]:
-                    for gen in gens:
-                        vec = {padd(m, c): v for m, v in gen.items()}
-                        if vec:
-                            ech.insert(vec)
-            self._ideal[k] = ech
-            self.dims[k] = len(points[k]) - ech.rank
-
-    def reduce(self, k, vec):
-        """Canonical representative of vec modulo I_k."""
-        rem, _ = self._ideal[k].reduce(vec)
-        return rem
-
-
 @dataclass(frozen=True)
 class R1Space:
     """Graded dimensions of the interior image."""
@@ -157,7 +128,7 @@ class R1Space:
 
     @classmethod
     def from_levels(cls, data):
-        """From the per-level monomial lists of _interior_image."""
+        """From the per-level monomial lists of interior_level_data."""
         return cls(tuple((k, len(v)) for k, v in data))
 
     def dims_dict(self):
@@ -167,36 +138,15 @@ class R1Space:
         return sum(d for _, d in self.dims)
 
 
-def _interior_image(face, lam, D, reduce):
-    """Per degree k <= D: the interior monomials p whose classes
-    reduce(k, {p: 1}) are new.  One echelon spans all degrees, so a
-    class counts only when it is new modulo the lower levels.  The zero
-    face has one class, of its point at degree 0, and reads no
-    reduction."""
-    if face.dim == 0:
-        return [(0, [(0,) * face.cone.ambient_rank])]
-    img = Echelon()
-    out = []
-    for k in range(D + 1):
-        level = []
-        for p in points_at_degree(face, k, lam, interior_only=True):
-            rem = reduce(k, {p: 1})
-            if rem and img.insert(rem) is not None:
-                level.append(p)
-        out.append((k, level))
-    return out
-
-
-def _hilbert_numerator(face, lam, upto):
-    """Coefficients of (1-t)^dim * Hilb(C[face]) through degree `upto`."""
-    d = face.dim
-    counts = [len(points_at_degree(face, k, lam)) for k in range(upto + 1)]
+def _hilbert_numerator(counts, d):
+    """Coefficients of (1-t)^d * sum_k counts[k] t^k through the degree
+    of the last count."""
     binom = [1]
     for i in range(d):
         binom = [a - b for a, b in zip(binom + [0], [0] + binom)]
     # binom now holds (1-t)^d coefficients with signs
     out = []
-    for k in range(upto + 1):
+    for k in range(len(counts)):
         s = 0
         for i, b in enumerate(binom):
             if i <= k:
@@ -219,23 +169,21 @@ class HatModuleElement:
         return cls(face, ((tuple(point), rational(value)),))
 
 
-def _hat_weights(face, g, mus):
-    """Per functional mu: [(n, g(n) mu(n))] over the face's degree-one
-    points n, the per-face part of the hat action."""
-    pts = [(n, g(n), span_coords(face, n)) for n in _delta_in_face(face, g)]
-    return [[(n, gn * sum(m * x for m, x in zip(mu, cn)))
-             for n, gn, cn in pts] for mu in mus]
-
-
 def _hat_action_vec(face, weights, mu, vec):
     """mu . vec for the deformed module structure, as sparse dicts.
 
-    mu [c] = sum over n in the face's degree-one points of
-    g(n) mu(n) [n+c]  +  mu(c) [c], with weights = _hat_weights of mu.
+    mu [c] = sum over (n, w) in weights of w [n+c]  +  mu(c) [0+c], where
+    the weights are the nonzero g(n) mu(n) over the face's degree-one
+    points n.  With mu None the deformation term mu(c) [c] is left out.
     """
+    zero = (0,) * face.cone.ambient_rank
     out = {}
     for c, v in vec.items():
-        for n, gmu in weights:
+        terms = list(weights)
+        if mu is not None:
+            terms.append((zero, sum(m * x for m, x in
+                                    zip(mu, span_coords(face, c)))))
+        for n, gmu in terms:
             w = gmu * v
             if w:
                 key = padd(n, c)
@@ -244,13 +192,6 @@ def _hat_action_vec(face, weights, mu, vec):
                     out[key] = nv
                 else:
                     out.pop(key, None)
-        muc = sum(m * cc for m, cc in zip(mu, span_coords(face, c)))
-        if muc:
-            nv = out.get(c, 0) + muc * v
-            if nv:
-                out[c] = nv
-            else:
-                out.pop(c, None)
     return out
 
 
@@ -258,43 +199,53 @@ def hat_action(face, g, mu, v):
     """Action of the linear functional mu (coordinates in the span basis)
     on a hat-module element."""
     mu = tuple(mu)
-    vec = _hat_action_vec(face, _hat_weights(face, g, [mu])[0], mu,
-                          v.mapping())
+    weights = {}
+    for a, elem in zip(mu, log_derivative_elements(face, g)):
+        weights = vec_add(weights, elem, a)
+    vec = _hat_action_vec(face, weights.items(), mu, v.mapping())
     return HatModuleElement(face, tuple(sorted(vec.items())))
 
 
 class HatModel:
-    """Truncated model of the hat module modulo the irrelevant ideal.
+    """Truncated model of the hat module modulo the irrelevant ideal,
+    or with deformed=False of the graded Jacobian quotient.
 
-    Spans mu.[c] over all points c of level <= D-1 and all basis
-    functionals mu; class_reduce gives canonical coset representatives
-    inside the span of points of level <= D.
+    Spans mu_j.[c] = L_j [c] + mu_j(c) [c] (or L_j [c]) over all points c
+    of level <= D-1 and unit functionals mu_j, in one echelon;
+    class_reduce gives canonical coset representatives inside the span
+    of points of level <= D.
     """
 
-    def __init__(self, face, g, D):
+    def __init__(self, face, g, D, deformed=True):
         self.face = face
         self.g = g
         self.D = D
+        self.deformed = deformed
         self.lam = g.lam
-        pts = []
-        for k in range(D + 1):
-            pts.extend(points_at_degree(face, k, self.lam))
-        self.points = pts
+        self.levels = [points_at_degree(face, k, self.lam)
+                       for k in range(D + 1)]
+        self.points = [p for level in self.levels for p in level]
         self.ideal = Echelon()
-        # (c, j, mu_j.[c], its new pivot or None), in build order
-        self.generators = []
+        # one new pivot or None per generator, in build order
+        self.pivots = [self.ideal.insert(vec) if vec else None
+                       for _, _, vec in self._generators()]
+        # L_j [c] lies in level deg c + 1: pivots count the ideal per level
+        rank = Counter(dot(p, self.lam) for p in self.ideal.rows)
+        self.dims = {k: len(level) - rank[k]
+                     for k, level in enumerate(self.levels)}
         self._level_data = None
-        if face.dim == 0:
-            return
-        mus = [tuple(1 if i == j else 0 for i in range(face.dim))
-               for j in range(face.dim)]
-        weights = _hat_weights(face, g, mus)
-        for k in range(D):
-            for c in points_at_degree(face, k, self.lam):
+
+    def _generators(self):
+        """(c, j, mu_j.[c]) by level of c, then c, then j."""
+        weights = [elem.items()
+                   for elem in log_derivative_elements(self.face, self.g)]
+        mus = [tuple(int(i == j) for i in range(self.face.dim))
+               if self.deformed else None for j in range(self.face.dim)]
+        for level in self.levels[:self.D]:
+            for c in level:
                 for j, mu in enumerate(mus):
-                    vec = _hat_action_vec(face, weights[j], mu, {c: 1})
-                    pivot = self.ideal.insert(vec) if vec else None
-                    self.generators.append((c, j, vec, pivot))
+                    yield c, j, _hat_action_vec(self.face, weights[j], mu,
+                                                {c: 1})
 
     def class_reduce(self, vec):
         rem, _ = self.ideal.reduce(vec)
@@ -324,7 +275,7 @@ class HatModel:
                  for j in range(self.face.dim)]
         classes = {}    # (n, c) -> class of [c+n], keyed (n, q)
         ech = Echelon()
-        for c, j, vec, pivot in self.generators:
+        for (c, j, vec), pivot in zip(self._generators(), self.pivots):
             shadow = {}
             for n, a in terms[j]:
                 cls = classes.get((n, c))
@@ -347,12 +298,22 @@ class HatModel:
         return ech.shadows
 
     def interior_level_data(self):
-        """Per level: the interior monomials with a new class.  Computed
-        once per model, which does not change after its build."""
+        """Per level k <= D: the interior monomials whose classes are
+        new.  One echelon spans all levels, so a class counts only when
+        it is new modulo the lower levels.  Computed once per model,
+        which does not change after its build."""
         if self._level_data is None:
-            self._level_data = _interior_image(
-                self.face, self.lam, self.D,
-                lambda _, vec: self.class_reduce(vec))
+            img = Echelon()
+            out = []
+            for k in range(self.D + 1):
+                level = []
+                for p in points_at_degree(self.face, k, self.lam,
+                                          interior_only=True):
+                    rem = self.class_reduce({p: 1})
+                    if rem and img.insert(rem) is not None:
+                        level.append(p)
+                out.append((k, level))
+            self._level_data = out
         return self._level_data
 
 
@@ -360,9 +321,10 @@ class Context:
     """One job's state: the pair, its coefficient functions f and g, and
     a memo of per-face objects keyed by (kind, face, function).
 
-    ``Context(pair, f, g)`` certifies f and g, which come together or not
-    at all; the job-level entry points of ``koszul`` and ``gkz`` read
-    them as certified.
+    ``set_coefficients`` is the one way to f and g: it certifies them,
+    which come together or not at all, and only then sets them.
+    ``Context(pair, f, g)`` and ``swap`` go through it, so the job-level
+    entry points of ``koszul`` and ``gkz`` read f and g as certified.
 
     The context is the one builder of per-face objects: each is built on
     its first request only.  A call that raises stores nothing, so it
@@ -373,10 +335,14 @@ class Context:
     """
 
     def __init__(self, pair=None, f=None, g=None):
-        if (f is None) != (g is None):
-            raise ValueError("f and g are given together or not at all")
         self.pair = pair
         self._memo = {}
+        self.set_coefficients(f, g)
+
+    def set_coefficients(self, f, g):
+        """Certify f and g, then make them this context's."""
+        if (f is None) != (g is None):
+            raise ValueError("f and g are given together or not at all")
         if f is not None:
             self.certify(f, g)
         self.f, self.g = f, g
@@ -384,7 +350,8 @@ class Context:
     def swap(self):
         """The swapped pair's context, f and g exchanged, on this memo."""
         other = Context(self.pair.swap())
-        other._memo, other.f, other.g = self._memo, self.g, self.f
+        other._memo = self._memo
+        other.set_coefficients(self.g, self.f)
         return other
 
     def _get(self, key, build):
@@ -395,21 +362,15 @@ class Context:
         return got
 
     def quotient(self, face, f):
-        """The GradedQuotient of the face by the log-derivative ideal."""
-        return self._get(("quotient", face, f),
-                         lambda: GradedQuotient(face, f))
+        """The graded quotient of the face by the log-derivative ideal:
+        the hat model of f without its deformation term."""
+        return self._get(("quotient", face, f), lambda: HatModel(
+            face, f, face.dim + 2, deformed=False))
 
     def r1(self, face, f):
-        """Image of the interior part in the quotient, degree by degree.
-        The zero face builds no quotient."""
-        def build():
-            if face.dim == 0:
-                return R1Space.from_levels(_interior_image(face, f.lam, 0,
-                                                           None))
-            q = self.quotient(face, f)
-            return R1Space.from_levels(
-                _interior_image(face, f.lam, q.D, q.reduce))
-        got = self._get(("r1", face, f), build)
+        """Image of the interior part in the quotient, degree by degree."""
+        got = self._get(("r1", face, f), lambda: R1Space.from_levels(
+            self.quotient(face, f).interior_level_data()))
         self._memo.pop(("quotient", face, f), None)
         return got
 
@@ -417,12 +378,9 @@ class Context:
         """Artinian certificate on one face: the quotient vanishes in
         degrees dim+1 and dim+2 and matches the Hilbert numerator through
         degree dim.  It reads the same quotient as r1(face, f)."""
-        d = face.dim
         q = self.quotient(face, f)
-        if q.dims[d + 1] != 0 or q.dims[d + 2] != 0:
-            return False
-        numer = _hilbert_numerator(face, f.lam, d)
-        return all(q.dims[k] == numer[k] for k in range(d + 1))
+        numer = _hilbert_numerator([len(v) for v in q.levels[:-2]], face.dim)
+        return [q.dims[k] for k in range(q.D + 1)] == numer + [0, 0]
 
     def is_nondegenerate(self, fn):
         """Nondegeneracy of a coefficient function: every face of its

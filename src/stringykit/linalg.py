@@ -46,7 +46,8 @@ class Echelon:
 
     Rows are normalized to leading coefficient one and fully
     back-substituted, so ``reduce`` returns the canonical representative
-    of a coset and ``coords_in_rref`` is a plain lookup of pivot entries.
+    of a coset and the coordinates of a vector of the span are its
+    entries at the pivot columns.
     """
 
     def __init__(self):
@@ -61,21 +62,19 @@ class Echelon:
         return len(self.rows)
 
     def reduce(self, vec, shadow=None):
-        """Eliminate all pivot columns from vec; returns (rem, rem_shadow)."""
+        """Eliminate all pivot columns from vec; returns (rem, rem_shadow).
+
+        A row holds no pivot column but its own, so subtracting it leaves
+        every other pivot entry of vec as it was."""
         rem = dict(vec)
         sh = dict(shadow) if shadow is not None else None
-        stack = [c for c in rem if c in self.rows]
-        while stack:
-            c = stack.pop()
-            coef = rem.get(c)
-            if not coef:
+        for c, coef in vec.items():
+            row = self.rows.get(c)
+            if row is None:
                 continue
-            row = self.rows[c]
             for j, v in row.items():
                 nv = rem.get(j, 0) - coef * v
                 if nv:
-                    if j not in rem and j in self.rows:
-                        stack.append(j)
                     rem[j] = nv
                 else:
                     rem.pop(j, None)

@@ -203,8 +203,8 @@ def _job_context(job):
     """The job's pair and its certified f and g, in one context."""
     pair = _build_pair(job)
     ctx = Context(pair)
-    ctx.f = _build_coefficients(pair, "f", job.f_source, ctx)
-    ctx.g = _build_coefficients(pair, "g", job.g_source, ctx)
+    ctx.set_coefficients(_build_coefficients(pair, "f", job.f_source, ctx),
+                         _build_coefficients(pair, "g", job.g_source, ctx))
     return ctx
 
 

@@ -16,8 +16,8 @@ from stringykit import jacobian, sheaves
 from stringykit.errors import DegenerateCoefficients, StabilizationFailed
 from stringykit.gkz import connection_on_hb
 from stringykit.gpoly import g_polynomial
-from stringykit.jacobian import (Context, GradedQuotient, HatModel,
-                                 coefficient_function, random_coefficients)
+from stringykit.jacobian import (Context, HatModel, coefficient_function,
+                                 random_coefficients)
 from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
                                hb_assemble)
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
@@ -37,18 +37,14 @@ def test_report_builds_each_per_face_object_once(name, monkeypatch):
     builds = {"quotient": Counter(), "hat": Counter(),
               "face_is_nondegenerate": Counter()}
     memo = Counter()
-    quotient_init = GradedQuotient.__init__
     hat_init = HatModel.__init__
     certificate = Context.face_is_nondegenerate
     get = Context._get
 
-    def counting_quotient(self, face, f, generators=None):
-        builds["quotient"][(face, f)] += 1
-        quotient_init(self, face, f, generators)
-
-    def counting_hat(self, face, g, D):
-        builds["hat"][(face, g, D)] += 1
-        hat_init(self, face, g, D)
+    def counting_hat(self, face, fn, D, deformed=True):
+        builds["hat" if deformed else "quotient"][(face, fn, D, deformed)] \
+            += 1
+        hat_init(self, face, fn, D, deformed)
 
     def counting_certificate(self, face, f):
         builds["face_is_nondegenerate"][(face, f)] += 1
@@ -60,7 +56,6 @@ def test_report_builds_each_per_face_object_once(name, monkeypatch):
             return build()
         return get(self, key, counted)
 
-    monkeypatch.setattr(GradedQuotient, "__init__", counting_quotient)
     monkeypatch.setattr(HatModel, "__init__", counting_hat)
     monkeypatch.setattr(Context, "face_is_nondegenerate",
                         counting_certificate)
@@ -117,6 +112,15 @@ def test_degenerate_rejected_without_context(verifier):
             verifier(Context(pair, f, g))
 
 
+def test_set_coefficients_rejects_degenerate():
+    pair, cases = _degenerate_cases()
+    for f, g in cases:
+        ctx = Context(pair)
+        with pytest.raises(DegenerateCoefficients):
+            ctx.set_coefficients(f, g)
+        assert (ctx.f, ctx.g) == (None, None)
+
+
 def test_context_takes_f_and_g_together():
     pair = make_gorenstein_pair(cone_over_polytope(P2))
     f = random_coefficients(pair, "f", 1)
@@ -154,7 +158,9 @@ def test_failures_raise_on_every_call(monkeypatch):
                 ctx.certify(f, g)
     attempts = []
 
-    def unstable(face, g, D):
+    def unstable(face, g, D, deformed=True):
+        if not deformed:
+            return HatModel(face, g, D, deformed)
         attempts.append(face)
         raise StabilizationFailed("no stable truncation")
 

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
-from stringykit.jacobian import (Context, GradedQuotient, HatModuleElement,
+from stringykit.jacobian import (Context, HatModel, HatModuleElement,
                                  coefficient_function, hat_action,
                                  log_derivative_elements, random_coefficients)
 from stringykit.lattice import (cone_over_polytope, make_gorenstein_pair,
                                 points_at_degree, span_coords)
+from stringykit.linalg import Echelon
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
 
@@ -82,21 +83,31 @@ def test_quotient_dims_triangle_const():
     assert [q.dims[k] for k in range(6)] == [1, 1, 1, 0, 0, 0]
 
 
+def shifted_dense_dims(face, gens, lam, D):
+    """Per degree k <= D: the number of points minus the dense rank of
+    the generators times every point of degree k - 1."""
+    dims = {}
+    for k in range(D + 1):
+        pts = points_at_degree(face, k, lam)
+        vectors = [{tuple(a + b for a, b in zip(m, c)): v
+                    for m, v in g.items()}
+                   for c in points_at_degree(face, k - 1, lam) for g in gens]
+        dims[k] = len(pts) - dense_rank_oracle(vectors, pts)
+    return dims
+
+
 def test_quotient_dims_against_dense_oracle():
     pair = p2_pair()
-    f = const_f(pair)
-    top = pair.poset().top
-    q = Context().quotient(top, f)
-    gens = log_derivative_elements(top, f)
-    for k in range(1, 6):
-        pts = points_at_degree(top, k, pair.deg_dual)
-        prev = points_at_degree(top, k - 1, pair.deg_dual)
-        vectors = []
-        for c in prev:
-            for g in gens:
-                vectors.append({tuple(a + b for a, b in zip(m, c)): v
-                                for m, v in g.items()})
-        assert q.dims[k] == len(pts) - dense_rank_oracle(vectors, pts)
+    const_g = coefficient_function(pair, "g",
+                                   {p: 1 for p in pair.delta_dual()})
+    for poset, fns in (
+            (pair.poset(), [const_f(pair), random_coefficients(pair, "f", 1)]),
+            (pair.dual_poset(), [const_g, random_coefficients(pair, "g", 2)])):
+        for fn in fns:
+            for face in poset:
+                q = Context().quotient(face, fn)
+                assert q.dims == shifted_dense_dims(
+                    face, log_derivative_elements(face, fn), fn.lam, q.D)
 
 
 def test_quotient_dims_ray_unit():
@@ -158,8 +169,7 @@ def test_basis_independence_of_ideal_dims():
             for m, v in g.items():
                 e[m] = e.get(m, 0) + c * v
         gens2.append({m: v for m, v in e.items() if v})
-    q2 = GradedQuotient(top, f, generators=gens2)
-    assert q1.dims == q2.dims
+    assert q1.dims == shifted_dense_dims(top, gens2, pair.deg_dual, 5)
 
 
 def test_nondegenerate_fermat():
@@ -231,6 +241,25 @@ def test_hat_action_commutes():
                 a = hat_action(sigma, g, mu2, hat_action(sigma, g, mu1, v))
                 b = hat_action(sigma, g, mu1, hat_action(sigma, g, mu2, v))
                 assert a == b
+
+
+def test_hat_model_generators_are_the_hat_action():
+    pair = p2_pair()
+    g = random_coefficients(pair, "g", seed=2)
+    sigma = pair.dual_poset().top
+    model = HatModel(sigma, g, sigma.dim + 2)
+    ech = Echelon()
+    count = 0
+    for (c, j, vec), pivot in zip(model._generators(), model.pivots):
+        mu = tuple(int(i == j) for i in range(sigma.dim))
+        expect = hat_action(sigma, g, mu,
+                            HatModuleElement.monomial(sigma, c)).mapping()
+        assert vec == expect
+        assert pivot == (ech.insert(expect) if expect else None)
+        count += 1
+    assert count == len(model.pivots) == \
+        sigma.dim * sum(len(level) for level in model.levels[:-1])
+    assert ech.rows == model.ideal.rows
 
 
 def test_r1_hat_zero_face():

@@ -63,6 +63,22 @@ def test_echelon_reduce_canonical():
                            1: {"b": Fraction(2, 7)}}
 
 
+def test_echelon_rows_hold_only_their_own_pivot():
+    rng = Random(11)
+    for trial in range(20):
+        ech = Echelon()
+        for _ in range(rng.randint(1, 15)):
+            vec = {}
+            for j in range(12):
+                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if v and rng.random() < 0.35:
+                    vec[j] = v
+            ech.insert(vec)
+            for c, row in ech.rows.items():
+                assert row[c] == 1
+                assert set(row) & set(ech.rows) == {c}
+
+
 def test_echelon_shadow_tracks_combination():
     ech = Echelon()
     v0 = {0: Fraction(1), 1: Fraction(1)}
