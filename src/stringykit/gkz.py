@@ -34,23 +34,21 @@ def _transpose(cols):
 class ConnectionData:
     """Expansion matrices A_n on one face's hat-quotient at a base point.
 
-    The basis is by default every interior monomial with a new class,
-    in (degree, lex) order; the choice is independent of g near g0.
+    The basis is every interior monomial with a new class, in (degree,
+    lex) order; the choice is independent of g near g0.
     ``matrices[n]`` is A_n for every degree-one point n of the face:
     column i expands the class of basis[i] + n in the basis.
     """
 
-    def __init__(self, model, basis_points=None):
+    def __init__(self, model):
         self.model = model
         self.sigma, self.g0 = model.face, model.g
-        if basis_points is None:
-            basis_points = [p for _, level in model.interior_level_data()
-                            for p in level]
-        self.basis = tuple(basis_points)
+        self.basis = tuple(p for _, level in model.interior_level_data()
+                           for p in level)
         self._coords = Echelon()
         for i, p in enumerate(self.basis):
             rem = model.class_reduce({p: 1})
-            if not rem or self._coords.insert(dict(rem), {i: 1}) is None:
+            if not rem or self._coords.insert(rem, {i: 1}) is None:
                 raise DegenerateCoefficients(
                     "selected monomials do not stay a basis")
         self.matrices = {n: _transpose(self._columns(n))

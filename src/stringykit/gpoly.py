@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import NotEulerian
 from .lattice import interval_is_eulerian
+from .linalg import vec_add
 
 
 class IntPolynomial:
@@ -32,14 +33,7 @@ class IntPolynomial:
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
-        return IntPolynomial(out)
+        return IntPolynomial(vec_add(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         out = {}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import DegenerateCoefficients, StabilizationFailed
 from .lattice import dot, faces, padd, points_at_degree, span_coords
-from .linalg import Echelon, rational, vec_add
+from .linalg import Echelon, _add, rational, vec_add
 
 MAX_RESAMPLE = 32
 
@@ -186,12 +186,7 @@ def _hat_action_vec(face, weights, mu, vec):
         for n, gmu in terms:
             w = gmu * v
             if w:
-                key = padd(n, c)
-                nv = out.get(key, 0) + w
-                if nv:
-                    out[key] = nv
-                else:
-                    out.pop(key, None)
+                _add(out, padd(n, c), w)
     return out
 
 
@@ -230,7 +225,7 @@ class HatModel:
         self.pivots = [self.ideal.insert(vec) if vec else None
                        for _, _, vec in self._generators()]
         # L_j [c] lies in level deg c + 1: pivots count the ideal per level
-        rank = Counter(dot(p, self.lam) for p in self.ideal.rows)
+        rank = Counter(dot(p, self.lam) for p in self.ideal.pivot_columns())
         self.dims = {k: len(level) - rank[k]
                      for k, level in enumerate(self.levels)}
         self._level_data = None
@@ -295,7 +290,8 @@ class HatModel:
             if sh:
                 raise DegenerateCoefficients(
                     "the hat ideal changes rank at the base point")
-        return ech.shadows
+        del classes     # no longer read: free it before the read-out
+        return {c: ech.shadow(c) for c in ech.pivot_columns()}
 
     def interior_level_data(self):
         """Per level k <= D: the interior monomials whose classes are

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import InfinitePiece, TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
-from .linalg import exact_rank
+from .linalg import _add, exact_rank
 
 
 def _wedges(r):
@@ -102,14 +102,6 @@ def _wedge(nvec, S):
             continue
         pos = sum(1 for i in S if i < j)
         yield ((-1) ** pos) * nvec[j], tuple(sorted(S + (j,)))
-
-
-def _add(col, key, val):
-    nv = col.get(key, 0) + val
-    if nv:
-        col[key] = nv
-    else:
-        col.pop(key, None)
 
 
 def d_column(pair, f, g, elt):

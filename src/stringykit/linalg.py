@@ -2,23 +2,25 @@
 
 Vectors are dicts mapping column index to a nonzero rational: an ``int``
 when it is integral, a ``Fraction`` otherwise (``rational`` converts).
-Two engines:
+Both engines are fraction-free: a row is cleared of denominators once,
+then eliminated over ``int`` by cross multiples (``_combine``) and kept
+primitive by dividing out its content.
 
-* ``exact_rank`` -- fraction-free integer elimination with a cheap
-  Markowitz-style pivot rule; the hot path for the big Koszul rank jobs.
-* ``Echelon`` -- an insertion echelon in reduced form with pivots
-  normalized to one.  Deterministic (smallest column wins), so every
-  basis derived from it is canonical.  A pivot of 1 keeps the row as it
-  is and a pivot of -1 negates it, so int rows stay int; any other pivot
-  x scales by ``Fraction(1) / x`` (``1 / x`` of an int is a float).
-  Supports a parallel "shadow" vector, which gives kernel tracking,
-  coordinate extraction and the derivative bookkeeping of the hat-module
-  connection.
+* ``exact_rank`` -- with a cheap Markowitz-style pivot rule; the hot path
+  for the big Koszul rank jobs.
+* ``Echelon`` -- an insertion echelon in reduced form.  Deterministic
+  (smallest column wins), so every basis derived from it is canonical.
+  A row is stored as a primitive integer row with a positive pivot
+  entry, scaled together with a parallel "shadow" vector, which gives
+  kernel tracking, coordinate extraction and the derivative bookkeeping
+  of the hat-module connection.  Rationals are built only when a value
+  is read out.
 """
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 
 def rational(v):
@@ -29,124 +31,143 @@ def rational(v):
     return q.numerator if q.denominator == 1 else q
 
 
+def _over(vec, d):
+    """An int vec divided by d > 0, as exact rationals."""
+    out = {}
+    for j, v in vec.items():
+        q, r = divmod(v, d)
+        out[j] = Fraction(v, d) if r else q
+    return out
+
+
+def _add(vec, key, val):
+    """vec[key] += val in place, dropping a zero."""
+    nv = vec.get(key, 0) + val
+    if nv:
+        vec[key] = nv
+    else:
+        vec.pop(key, None)
+
+
+def _combine(a, vec, b, row):
+    """a*vec - b*row as a new sparse dict, dropping zeros."""
+    out = dict(vec) if a == 1 else {j: a * v for j, v in vec.items()}
+    for j, v in row.items():
+        _add(out, j, -b * v)
+    return out
+
+
 def vec_add(a, b, coeff=1):
     """a + coeff*b as sparse dicts, dropping zeros."""
-    out = dict(a)
-    for j, v in b.items():
-        nv = out.get(j, 0) + coeff * v
-        if nv:
-            out[j] = nv
-        else:
-            out.pop(j, None)
-    return out
+    return _combine(1, a, -coeff, b)
+
+
+def _cross(p, v):
+    """Cross multiples (a, b) with a*v - b*p == 0 and a > 0 when p > 0:
+    the row step a*vec - b*row clears the entry v of vec against the
+    pivot entry p of row."""
+    g = gcd(p, v)
+    return p // g, v // g
+
+
+# lcm and gcd fold entry by entry: lcm(*values) would build an argument
+# tuple per row, and the tuple free lists keep that memory to the end.
+def _clear_denominators(vecs):
+    """(den, int vecs) with every vec scaled by den, the least common
+    denominator of all their entries; zero entries are dropped."""
+    den = 1
+    for v in chain.from_iterable(vec.values() for vec in vecs):
+        den = lcm(den, v.denominator)
+    return den, [{j: v.numerator * (den // v.denominator)
+                  for j, v in vec.items() if v} for vec in vecs]
+
+
+def _divide_content(vecs, sign=1):
+    """The int vecs divided by sign times the gcd of all their entries."""
+    g = 0
+    for v in chain.from_iterable(vec.values() for vec in vecs):
+        g = gcd(g, v)
+        if g == 1:
+            break
+    g *= sign
+    if g == 1:
+        return list(vecs)
+    return [{j: v // g for j, v in vec.items()} for vec in vecs]
 
 
 class Echelon:
     """Reduced row echelon basis that grows by insertion.
 
-    Rows are normalized to leading coefficient one and fully
-    back-substituted, so ``reduce`` returns the canonical representative
-    of a coset and the coordinates of a vector of the span are its
-    entries at the pivot columns.
+    A row is held as a primitive int row with a positive entry at its
+    pivot and none at any other pivot, with its shadow scaled the same
+    way; ``row(c)`` and ``shadow(c)`` divide by the pivot entry.  So
+    ``reduce`` returns the canonical representative of a coset, and the
+    coordinates of a vector of the span are its entries at the pivot
+    columns.
     """
 
     def __init__(self):
-        self.rows = {}      # pivot col -> row dict, row[pivot] == 1
-        self.shadows = {}   # pivot col -> shadow dict (parallel bookkeeping)
-
-    def __len__(self):
-        return len(self.rows)
+        self._rows = {}      # pivot col -> primitive int row, row[c] > 0
+        self._shadows = {}   # pivot col -> int shadow, scaled with the row
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def _reduce(self, vec, shadow):
+        """(den, rem, sh) with den * (vec - pivot combination) == rem,
+        rem and sh over int."""
+        den, (rem, sh) = _clear_denominators((vec, shadow or {}))
+        for c in [c for c in rem if c in self._rows]:
+            # a row holds no pivot but its own: rem[c] is still nonzero
+            row = self._rows[c]
+            a, b = _cross(row[c], rem[c])
+            rem = _combine(a, rem, b, row)
+            sh = _combine(a, sh, b, self._shadows[c])
+            den *= a
+        return den, rem, sh
 
     def reduce(self, vec, shadow=None):
-        """Eliminate all pivot columns from vec; returns (rem, rem_shadow).
-
-        A row holds no pivot column but its own, so subtracting it leaves
-        every other pivot entry of vec as it was."""
-        rem = dict(vec)
-        sh = dict(shadow) if shadow is not None else None
-        for c, coef in vec.items():
-            row = self.rows.get(c)
-            if row is None:
-                continue
-            for j, v in row.items():
-                nv = rem.get(j, 0) - coef * v
-                if nv:
-                    rem[j] = nv
-                else:
-                    rem.pop(j, None)
-            if sh is not None:
-                srow = self.shadows.get(c)
-                if srow:
-                    for j, v in srow.items():
-                        nv = sh.get(j, 0) - coef * v
-                        if nv:
-                            sh[j] = nv
-                        else:
-                            sh.pop(j, None)
-        return rem, sh
+        """Eliminate all pivot columns from vec; returns (rem, rem_shadow),
+        rem_shadow None when no shadow is given."""
+        den, rem, sh = self._reduce(vec, shadow)
+        return _over(rem, den), None if shadow is None else _over(sh, den)
 
     def insert(self, vec, shadow=None):
         """Insert a vector; returns the new pivot column or None if dependent.
 
         Pivot choice: the smallest column of the remainder.
         """
-        rem, sh = self.reduce(vec, shadow)
+        _, rem, sh = self._reduce(vec, shadow)
         if not rem:
             return None
         c = min(rem)
-        x = rem[c]
-        if sh is None:
-            sh = {}
-        if x == 1:
-            row, srow = rem, sh
-        elif x == -1:
-            row = {j: -v for j, v in rem.items()}
-            srow = {j: -v for j, v in sh.items()}
-        else:
-            inv = Fraction(1) / x   # 1 / int would be a float
-            row = {j: inv * v for j, v in rem.items()}
-            srow = {j: inv * v for j, v in sh.items()}
+        row, srow = _divide_content((rem, sh), -1 if rem[c] < 0 else 1)
         # back-substitute to keep the basis reduced
-        for c0, row0 in self.rows.items():
-            coef = row0.get(c)
-            if coef:
-                for j, v in row.items():
-                    nv = row0.get(j, 0) - coef * v
-                    if nv:
-                        row0[j] = nv
-                    else:
-                        row0.pop(j, None)
-                srow0 = self.shadows.get(c0)
-                if srow0 or srow:
-                    if srow0 is None:
-                        srow0 = {}
-                    for j, v in srow.items():
-                        nv = srow0.get(j, 0) - coef * v
-                        if nv:
-                            srow0[j] = nv
-                        else:
-                            srow0.pop(j, None)
-                    self.shadows[c0] = srow0
-        self.rows[c] = row
-        self.shadows[c] = srow
+        for c0, row0 in self._rows.items():
+            if c in row0:
+                a, b = _cross(row[c], row0[c])
+                self._rows[c0], self._shadows[c0] = _divide_content((
+                    _combine(a, row0, b, row),
+                    _combine(a, self._shadows[c0], b, srow)))
+        self._rows[c] = row
+        self._shadows[c] = srow
         return c
 
-    def contains(self, vec):
-        rem, _ = self.reduce(vec)
-        return not rem
+    def row(self, c):
+        """The reduced row of pivot c, with a 1 at c."""
+        return _over(self._rows[c], self._rows[c][c])
+
+    def shadow(self, c):
+        """The shadow of the reduced row of pivot c."""
+        return _over(self._shadows[c], self._rows[c][c])
 
     def basis_rows(self):
-        """Canonical RREF rows, sorted by pivot column, with integral
-        entries as int."""
-        return [{j: rational(v) for j, v in self.rows[c].items()}
-                for c in sorted(self.rows)]
+        """Canonical RREF rows, sorted by pivot column."""
+        return [self.row(c) for c in self.pivot_columns()]
 
     def pivot_columns(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
 
 
 def rref_basis(vectors):
@@ -196,43 +217,18 @@ class SparseBasis:
             raise ValueError("vector not in span")
         return out
 
-    def contains(self, vec):
-        return self._ech.contains(vec)
-
-
-def _int_row(row):
-    """Clear denominators and divide by content; returns an int dict."""
-    if not row:
-        return {}
-    den = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            den = den * v.denominator // gcd(den, v.denominator)
-    out = {}
-    for j, v in row.items():
-        w = int(v * den) if isinstance(v, Fraction) else v * den
-        if w:
-            out[j] = w
-    if not out:
-        return {}
-    g = 0
-    for w in out.values():
-        g = gcd(g, w)
-    if g > 1:
-        out = {j: w // g for j, w in out.items()}
-    return out
-
 
 def exact_rank(rows):
     """Rank over Q of the span of the given sparse rows.
 
-    Fraction-free: rows are scaled to integers, elimination uses cross
-    multiples followed by content reduction.  Pivot rule: the column held
-    by fewest rows, then the sparsest row in it (Markowitz-lite).
+    Fraction-free: rows are scaled to primitive integer rows, elimination
+    uses cross multiples followed by content reduction.  Pivot rule: the
+    column held by fewest rows, then the sparsest row in it
+    (Markowitz-lite).
     """
     mat = {}
     for r in rows:
-        rr = _int_row(r)
+        rr, = _divide_content(_clear_denominators([r])[1])
         if rr:
             mat[len(mat)] = rr
     colrows = defaultdict(set)
@@ -245,7 +241,6 @@ def exact_rank(rows):
         cands = colrows[c]
         pi = min(cands, key=lambda i: (len(mat[i]), i))
         prow = mat.pop(pi)
-        a = prow[c]
         for cc in prow:
             colrows[cc].discard(pi)
             if not colrows[cc]:
@@ -253,21 +248,8 @@ def exact_rank(rows):
         rank += 1
         for i in list(colrows.get(c, ())):
             row = mat[i]
-            b = row[c]
-            new = {}
-            for j, v in row.items():
-                new[j] = a * v
-            for j, v in prow.items():
-                nv = new.get(j, 0) - b * v
-                if nv:
-                    new[j] = nv
-                else:
-                    new.pop(j, None)
-            g = 0
-            for v in new.values():
-                g = gcd(g, v)
-            if g > 1:
-                new = {j: v // g for j, v in new.items()}
+            a, b = _cross(prow[c], row[c])
+            new, = _divide_content([_combine(a, row, b, prow)])
             for j in row:
                 if j not in new:
                     colrows[j].discard(i)
@@ -281,4 +263,3 @@ def exact_rank(rows):
             else:
                 del mat[i]
     return rank
-

@@ -23,7 +23,7 @@ from .jacobian import Context, coefficient_function, random_coefficients
 from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
                      hb_assemble)
 from .lattice import (annihilator_face, cone_from_rays, cone_over_polytope,
-                      make_gorenstein_pair, points_at_degree)
+                      make_gorenstein_pair)
 from .sheaves import FanSpace, verify_prop_maincoro, verify_theorem_key
 
 SCHEMA_VERSION = "1"
@@ -418,8 +418,7 @@ def hilbert_tables(job):
     def row(ctx, face, fn):
         q = ctx.quotient(face, fn)
         return {"dim": face.dim,
-                "point_counts": [len(points_at_degree(face, k, fn.lam))
-                                 for k in range(q.D + 1)],
+                "point_counts": [len(level) for level in q.levels],
                 "quotient_dims": [q.dims[k] for k in range(q.D + 1)]}
     return _face_tables(job, row)
 

@@ -21,9 +21,9 @@ from itertools import combinations
 
 from .errors import TruncationTooSmall
 from .gpoly import ih_dims
-from .koszul import _add, _contract, _wedge
+from .koszul import _contract, _wedge
 from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
-from .linalg import Echelon, SparseBasis, exact_rank, kernel_basis
+from .linalg import Echelon, SparseBasis, _add, exact_rank, kernel_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,7 +320,7 @@ class MinimalSheaf:
                         piv = ech.insert(dict(vec))
                         if piv is None:
                             continue
-                        row = dict(ech.rows[piv])
+                        row = ech.row(piv)
                         gens.append((a, b))
                         lifts.append(self._split(layout, row))
             self.gens[cell] = tuple(gens)

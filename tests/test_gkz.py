@@ -67,9 +67,20 @@ def test_basis_survives_perturbation():
     first = next(iter(vals))
     vals[first] = vals[first] + Fraction(1, 7)
     g2 = coefficient_function(pair, "g", vals)
-    # re-certify: the same monomials still give a basis at the new point
-    block = ConnectionData(HatModel(sigma, g2, sigma.dim + 2), basis)
-    assert len(block.basis) == 2
+    # the monomials chosen at g are chosen, and certified, at g2 as well
+    block = ConnectionData(HatModel(sigma, g2, sigma.dim + 2))
+    assert block.basis == basis
+
+
+def test_basis_guard_rejects_dependent_monomials():
+    pair = p2_pair()
+    g = random_coefficients(pair, "g", seed=1)
+    sigma = pair.dual_poset().top
+    model = HatModel(sigma, g, sigma.dim + 2)
+    levels = model.interior_level_data()
+    model.interior_level_data = lambda: levels + levels
+    with pytest.raises(DegenerateCoefficients):
+        ConnectionData(model)
 
 
 def test_segment_matrices_frozen_oracle():

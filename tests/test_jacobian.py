@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+
+from stringykit.errors import DegenerateCoefficients
 from stringykit.jacobian import (Context, HatModel, HatModuleElement,
                                  coefficient_function, hat_action,
                                  log_derivative_elements, random_coefficients)
@@ -259,7 +262,18 @@ def test_hat_model_generators_are_the_hat_action():
         count += 1
     assert count == len(model.pivots) == \
         sigma.dim * sum(len(level) for level in model.levels[:-1])
-    assert ech.rows == model.ideal.rows
+    assert ech.basis_rows() == model.ideal.basis_rows()
+
+
+def test_row_derivatives_refuse_a_rank_jump():
+    # at g = 0 the generators at the origin vanish, while the classes of
+    # their derivatives do not: the ideal's rank jumps there
+    pair = p2_pair()
+    g0 = coefficient_function(pair, "g", {p: 0 for p in pair.delta_dual()})
+    sigma = pair.dual_poset().top
+    model = HatModel(sigma, g0, sigma.dim + 2)
+    with pytest.raises(DegenerateCoefficients):
+        model.row_derivatives(sorted(pair.delta_dual()))
 
 
 def test_r1_hat_zero_face():

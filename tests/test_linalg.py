@@ -54,13 +54,14 @@ def test_echelon_reduce_canonical():
     ech = Echelon()
     ech.insert({0: 2, 1: 3}, {"a": 1})
     ech.insert({1: 7, 2: 5}, {"b": 2})
-    scalars = [v for store in (ech.rows, ech.shadows)
-               for vec in store.values() for v in vec.values()]
+    scalars = [v for c in ech.pivot_columns()
+               for vec in (ech.row(c), ech.shadow(c)) for v in vec.values()]
     assert all(isinstance(v, (int, Fraction)) for v in scalars)
-    assert ech.rows == {0: {0: 1, 2: Fraction(-15, 14)},
-                        1: {1: 1, 2: Fraction(5, 7)}}
-    assert ech.shadows == {0: {"a": Fraction(1, 2), "b": Fraction(-3, 7)},
-                           1: {"b": Fraction(2, 7)}}
+    assert ech.basis_rows() == [{0: 1, 2: Fraction(-15, 14)},
+                                {1: 1, 2: Fraction(5, 7)}]
+    assert ech.row(0) == {0: 1, 2: Fraction(-15, 14)}
+    assert ech.shadow(0) == {"a": Fraction(1, 2), "b": Fraction(-3, 7)}
+    assert ech.shadow(1) == {"b": Fraction(2, 7)}
 
 
 def test_echelon_rows_hold_only_their_own_pivot():
@@ -74,9 +75,11 @@ def test_echelon_rows_hold_only_their_own_pivot():
                 if v and rng.random() < 0.35:
                     vec[j] = v
             ech.insert(vec)
-            for c, row in ech.rows.items():
+            pivots = ech.pivot_columns()
+            for c in pivots:
+                row = ech.row(c)
                 assert row[c] == 1
-                assert set(row) & set(ech.rows) == {c}
+                assert set(row) & set(pivots) == {c}
 
 
 def test_echelon_shadow_tracks_combination():
@@ -89,6 +92,89 @@ def test_echelon_shadow_tracks_combination():
     assert rem == {}
     # vec = 2*v0 + 1*v1, so the shadow catches -2a - 1b
     assert sh == {"a": Fraction(-2), "b": Fraction(-1)}
+
+
+def _dense_rref(rows, ncols):
+    """Reduced row echelon form over Fraction of dense rows, pivots taken
+    among the first ncols columns only; returns {pivot: row}."""
+    mat = [[Fraction(v) for v in r] for r in rows]
+    out = {}
+    for c in range(ncols):
+        i = next((i for i, r in enumerate(mat) if r[c]), None)
+        if i is None:
+            continue
+        piv = mat.pop(i)
+        piv = [v / piv[c] for v in piv]
+        mat = [[a - r[c] * b for a, b in zip(r, piv)] for r in mat]
+        out = {c0: [a - r[c] * b for a, b in zip(r, piv)]
+               for c0, r in out.items()}
+        out[c] = piv
+    return out
+
+
+def _random_scalar(rng):
+    v = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return v.numerator if v.denominator == 1 and rng.random() < 0.5 else v
+
+
+def _canonical(values):
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
+def test_echelon_against_dense_rref_oracle():
+    """Seeded property: rows, shadows, basis, pivots and reductions of
+    the echelon match a dense Fraction RREF of [vectors | shadows] over
+    the accepted vectors, and every value read out is canonical."""
+    rng = Random(23)
+    for trial in range(40):
+        ncols, nsh = rng.randint(1, 8), rng.randint(0, 4)
+        keys = ["s%d" % k for k in range(nsh)]
+
+        def sparse(width, density):
+            return {j: v for j in range(width) if rng.random() < density
+                    for v in [_random_scalar(rng)] if v}
+
+        ech = Echelon()
+        accepted = []      # dense [vec | shadow] rows that got a pivot
+        for _ in range(rng.randint(1, 10)):
+            vec = sparse(ncols, 0.5)
+            shadow = ({keys[k]: v for k, v in sparse(nsh, 0.6).items()}
+                      if rng.random() < 0.8 else None)
+            dense = ([vec.get(j, 0) for j in range(ncols)]
+                     + [(shadow or {}).get(k, 0) for k in keys])
+            before = set(_dense_rref(accepted, ncols))
+            grown = set(_dense_rref(accepted + [dense], ncols))
+            got = ech.insert(vec, shadow)
+            if grown == before:
+                assert got is None
+            else:
+                assert {got} == grown - before
+                accepted.append(dense)
+        oracle = _dense_rref(accepted, ncols)
+        pivots = sorted(oracle)
+        assert ech.pivot_columns() == pivots
+        assert ech.rank == len(pivots)
+        for c in pivots:
+            row, shadow = ech.row(c), ech.shadow(c)
+            assert row == {j: v for j, v in enumerate(oracle[c][:ncols]) if v}
+            assert shadow == {k: v for k, v in zip(keys, oracle[c][ncols:])
+                              if v}
+            assert _canonical(row.values()) and _canonical(shadow.values())
+        assert ech.basis_rows() == [ech.row(c) for c in pivots]
+        for _ in range(3):
+            probe = sparse(ncols, 0.6)
+            probe_sh = {keys[k]: v for k, v in sparse(nsh, 0.5).items()}
+            rem, sh = ech.reduce(probe, probe_sh)
+            expect = [Fraction(probe.get(j, 0)) for j in range(ncols)] + \
+                [Fraction(probe_sh.get(k, 0)) for k in keys]
+            for c in pivots:
+                a = probe.get(c, 0)
+                expect = [e - a * r for e, r in zip(expect, oracle[c])]
+            assert rem == {j: v for j, v in enumerate(expect[:ncols]) if v}
+            assert sh == {k: v for k, v in zip(keys, expect[ncols:]) if v}
+            assert _canonical(rem.values()) and _canonical(sh.values())
+            assert ech.reduce(probe) == (rem, None)
 
 
 def test_kernel_basis():

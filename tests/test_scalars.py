@@ -8,11 +8,15 @@ from stringykit.jacobian import random_coefficients
 from stringykit.koszul import d_column, dhat_column, v_basis
 from stringykit.lattice import cone_over_polytope, make_gorenstein_pair
 from stringykit.linalg import Echelon, kernel_basis, rational
-from stringykit.sheaves import BigradedComplex, FanSpace, build_w
+from stringykit.sheaves import (BigradedComplex, FanSpace, MinimalSheaf,
+                                build_w)
 
 
 def segment_pair():
     return make_gorenstein_pair(cone_over_polytope([(-1,), (1,)]))
+
+
+SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 
 def p2_pair():
@@ -70,24 +74,37 @@ def test_segment_sheaf_columns_are_int():
         assert seen <= {int}, origin
 
 
+def test_square_sheaf_lifts_hold_no_integral_fraction():
+    """Pivots 2, -2 and 1/2 of the generator echelons leave integral
+    lift entries as int, not as Fraction(n, 1)."""
+    fan = FanSpace(cone_over_polytope(SQUARE))
+    values = [v for origin in fan.cells[:6]
+              for lifts in MinimalSheaf(fan, origin, 4).lifts.values()
+              for lift in lifts for comp in lift.values()
+              for v in comp.values()]
+    assert len(values) == 138
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
 def test_echelon_keeps_int_rows_with_unit_pivots():
     ech = Echelon()
     assert ech.insert({0: 1, 2: 3}, {0: 1}) == 0
     assert ech.insert({1: -1, 2: 5}, {1: 1}) == 1
     assert ech.insert({0: 1, 1: 1, 2: -2}, {2: 1}) is None
-    assert ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: -5}}
-    assert ech.shadows == {0: {0: 1}, 1: {1: -1}}
-    for rows in (ech.rows, ech.shadows):
-        for row in rows.values():
+    assert ech.basis_rows() == [{0: 1, 2: 3}, {1: 1, 2: -5}]
+    assert [ech.shadow(c) for c in ech.pivot_columns()] == [{0: 1}, {1: -1}]
+    for c in ech.pivot_columns():
+        for row in (ech.row(c), ech.shadow(c)):
             assert _types(row.values()) == {int}
     rem, sh = ech.reduce({0: 2, 1: 3, 2: 1}, {5: 1})
     assert rem == {2: 10} and sh == {5: 1, 0: -2, 1: 3}
     assert _types(rem.values()) | _types(sh.values()) == {int}
-    # a pivot of 2 scales by a Fraction, never by a float
+    # a pivot of 2 is divided out exactly, never by a float
     assert ech.insert({2: 2}) == 2
-    assert ech.rows[2] == {2: 1}
-    for rows in (ech.rows, ech.shadows):
-        for row in rows.values():
+    assert ech.row(2) == {2: 1}
+    for c in ech.pivot_columns():
+        for row in (ech.row(c), ech.shadow(c)):
             assert float not in _types(row.values())
 
 
