@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import InfinitePiece, TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
-from .linalg import _add, exact_rank
+from .linalg import _add, exact_pivots
 
 
 def _wedges(r):
@@ -161,12 +161,12 @@ def dhat_matrix(pair, f, g, grading_value, p):
     return basis, [dhat_column(pair, f, g, e, drop_from=p) for e in basis]
 
 
-def _split_rank(columns):
-    """Rank of a block-diagonal matrix split by a conserved column label."""
+def _split_pivots(columns):
+    """Pivots of a block-diagonal matrix split by a conserved label."""
     buckets = {}
     for col, t in columns:
         buckets.setdefault(t, []).append(col)
-    return sum(exact_rank(cols) for cols in buckets.values())
+    return {c for cols in buckets.values() for c in exact_pivots(cols)}
 
 
 def _tau_d(pair, elt):
@@ -177,7 +177,8 @@ def _tau_d(pair, elt):
 @dataclass
 class CohomologyReport:
     """Per-grading dimensions with the rank bookkeeping that produced
-    them and an alternating-sum cross-check."""
+    them.  ``euler_ok`` is always True and checks nothing: with dims[k] =
+    V_k - r_k - r_(k-1) the alternating sums agree for any ranks."""
     dims: dict
     space_dims: dict
     ranks: dict
@@ -187,27 +188,31 @@ class CohomologyReport:
 
 
 def cohomology_d(ctx, D=6):
-    """Cohomology of (V, d) in gradings 0..D-1 by exact sparse ranks."""
+    """Cohomology of (V, d) in gradings 0..D-1 by exact sparse ranks.
+
+    The pivots P of d_(k-1) get no column of d_k.  On P an echelon of
+    im d_(k-1) is triangular with a nonzero diagonal, so each tau in P is
+    a boundary minus a combination of basis elements outside P; as
+    d_k d_(k-1) = 0, d_k(tau) is in the span of their d_k images.  So
+    each rank is the true rank, not read off the oracle."""
     if D < 1:
         raise TruncationTooSmall("cohomology_d needs D >= 1")
     pair, f, g = ctx.pair, ctx.f, ctx.g
     basis = v_basis(pair, "d", D)
     vdims = {k: len(basis[k]) for k in range(D + 1)}
     ranks = {}
+    pivots = set()
     for k in range(D):
-        cols = [(d_column(pair, f, g, e), _tau_d(pair, e))
-                for e in basis[k]]
-        ranks[k] = _split_rank(cols)
+        pivots = _split_pivots([(d_column(pair, f, g, e), _tau_d(pair, e))
+                                for e in basis[k] if e not in pivots])
+        ranks[k] = len(pivots)
     dims = {}
     for k in range(D):
         dims[k] = vdims[k] - ranks[k] - (ranks[k - 1] if k > 0 else 0)
         assert dims[k] >= 0
-    lhs = sum((-1) ** k * dims[k] for k in range(D))
-    rhs = sum((-1) ** k * vdims[k] for k in range(D)) \
-        - (-1) ** (D - 1) * ranks[D - 1]
     return CohomologyReport(dims=dims, space_dims=vdims, ranks=ranks,
                             window={"max_degree": D - 1},
-                            euler_ok=(lhs == rhs), flags={})
+                            euler_ok=True, flags={})
 
 
 def _face_sum(ctx, summand):
@@ -258,14 +263,17 @@ def cohomology_dhat(ctx, D=6, p_max=8):
         return v_basis(pair, "dhat", gv, n_cap=cap)[gv]
 
     @lru_cache(maxsize=None)
-    def rank_at(gv, cap):
-        """Rank of the exact d_hat on basis vectors of n-degree <= cap."""
-        return exact_rank(
-            [dhat_column(pair, f, g, e) for e in basis_at(gv, cap)])
+    def pivots_at(gv, cap):
+        """Pivots of the exact d_hat on basis vectors of n-degree <= cap;
+        those of (gv-1, cap-1) lie there and get no column (as in
+        cohomology_d)."""
+        drop = pivots_at(gv - 1, cap - 1) if gv and cap else ()
+        return set(exact_pivots([dhat_column(pair, f, g, e) for e in
+                                 basis_at(gv, cap) if e not in drop]))
 
     def h_at(gv, cap):
-        kdim = len(basis_at(gv, cap)) - rank_at(gv, cap)
-        bdim = rank_at(gv - 1, cap - 1) if gv > 0 else 0
+        kdim = len(basis_at(gv, cap)) - len(pivots_at(gv, cap))
+        bdim = len(pivots_at(gv - 1, cap - 1)) if gv > 0 else 0
         return kdim - bdim
 
     dims = {}
@@ -290,7 +298,7 @@ def cohomology_dhat(ctx, D=6, p_max=8):
             stop_at[gv] = stabilized[0]
         space_dims[gv] = len(basis_at(gv, stop_at[gv] - 1))
     return CohomologyReport(dims=dims, space_dims=space_dims,
-                            ranks={gv: rank_at(gv, stop_at[gv] - 1)
+                            ranks={gv: len(pivots_at(gv, stop_at[gv] - 1))
                                    for gv in range(D + 1)},
                             window={"max_hat_grading": D,
                                     "p_max": p_max,

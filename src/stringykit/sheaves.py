@@ -23,7 +23,7 @@ from .errors import TruncationTooSmall
 from .gpoly import ih_dims
 from .koszul import _contract, _wedge
 from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
-from .linalg import Echelon, SparseBasis, _add, exact_rank, kernel_basis
+from .linalg import Echelon, SparseBasis, _add, exact_pivots, kernel_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,7 +421,7 @@ class BigradedComplex:
         self._check_dual(self.m_basis, self.n_basis)
         self.D = sections.D
         self._mats = {}
-        self._rank_cache = {}
+        self._pivot_cache = {}
 
     @staticmethod
     def _check_dual(ms, ns):
@@ -465,32 +465,36 @@ class BigradedComplex:
                     out.append((a, b, S, t))
         return out
 
-    def d_columns(self, gr, s):
-        """Differential on the (gr, s) block as one sparse column per
-        basis label, with values in the (gr, s+1) block labels: per i,
-        contraction by m_i times the side-0 action, then wedge with n_i
+    def d_column(self, label):
+        """d of one label (a, b, S, t) over the next block's labels: per
+        i, contraction by m_i times the side-0 action, then wedge with n_i
         times the side-1 action."""
-        cols = []
-        for (a, b, S, t) in self.block_basis(gr, s):
-            col = {}
-            for i in range(self.r):
-                for side, terms in ((0, _contract(self.m_basis[i], S)),
-                                    (1, _wedge(self.n_basis[i], S))):
-                    for sign, S2 in terms:
-                        row = self.action(side, i, a, b)[t]
-                        for t2, v in enumerate(row):
-                            if v:
-                                _add(col, (a + 1 - side, b + side, S2, t2),
-                                     sign * v)
-            cols.append(col)
-        return cols
+        a, b, S, t = label
+        col = {}
+        for i in range(self.r):
+            for side, terms in ((0, _contract(self.m_basis[i], S)),
+                                (1, _wedge(self.n_basis[i], S))):
+                for sign, S2 in terms:
+                    row = self.action(side, i, a, b)[t]
+                    for t2, v in enumerate(row):
+                        if v:
+                            _add(col, (a + 1 - side, b + side, S2, t2),
+                                 sign * v)
+        return col
 
-    def block_rank(self, gr, s):
-        key = (gr, s)
-        got = self._rank_cache.get(key)
+    def d_columns(self, gr, s):
+        """Differential on the (gr, s) block, one column per label."""
+        return [self.d_column(lab) for lab in self.block_basis(gr, s)]
+
+    def block_pivots(self, gr, s):
+        """Pivot labels of d on the (gr, s) block; those of (gr, s-1) get
+        no column (as in koszul.cohomology_d)."""
+        got = self._pivot_cache.get((gr, s))
         if got is None:
-            got = exact_rank(self.d_columns(gr, s))
-            self._rank_cache[key] = got
+            drop = self.block_pivots(gr, s - 1) if s > 0 else ()
+            got = self._pivot_cache[(gr, s)] = set(exact_pivots(
+                [self.d_column(lab) for lab in self.block_basis(gr, s)
+                 if lab not in drop]))
         return got
 
     def gr_values(self, s):
@@ -506,8 +510,8 @@ class BigradedComplex:
                 dim = len(self.block_basis(gr, s))
                 if dim == 0 and s > 0:
                     continue
-                rank_out = self.block_rank(gr, s)
-                rank_in = self.block_rank(gr, s - 1) if s > 0 else 0
+                rank_out = len(self.block_pivots(gr, s))
+                rank_in = len(self.block_pivots(gr, s - 1)) if s > 0 else 0
                 h = dim - rank_out - rank_in
                 assert h >= 0
                 if dim or h:

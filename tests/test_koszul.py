@@ -1,9 +1,11 @@
 """Double Koszul complex: bases, differentials, both cohomology routes."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from stringykit import koszul
 from stringykit.errors import (DegenerateCoefficients, InfinitePiece,
                                TruncationTooSmall)
 from stringykit.jacobian import (Context, coefficient_function,
@@ -14,8 +16,10 @@ from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
                                v_basis)
 from stringykit.lattice import (cone_from_rays, cone_over_polytope, dot,
                                 make_gorenstein_pair, points_at_degree)
+from stringykit.linalg import exact_pivots, exact_rank
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
+SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 
 
 def ray_pair():
@@ -28,6 +32,10 @@ def segment_pair():
 
 def p2_pair():
     return make_gorenstein_pair(cone_over_polytope(P2))
+
+
+def square_pair():
+    return make_gorenstein_pair(cone_over_polytope(SQUARE))
 
 
 def coeffs_const(pair, side, value=1):
@@ -64,10 +72,10 @@ def test_v_basis_dhat_needs_cap():
 
 
 def test_d_squared_zero():
-    for pair in (ray_pair(), segment_pair(), p2_pair()):
+    for pair, top in ((ray_pair(), 6), (segment_pair(), 6), (p2_pair(), 3)):
         f = random_coefficients(pair, "f", seed=1, certify=False)
         g = random_coefficients(pair, "g", seed=2, certify=False)
-        for k in range(3):
+        for k in range(top):
             basis, cols = d_matrix(pair, f, g, k)
             for col in cols:
                 acc = {}
@@ -204,6 +212,96 @@ def test_dhat_squared_zero_on_quotient():
                                            drop_from=p).items():
                     acc[elt2] = acc.get(elt2, 0) + v * w
             assert not any(acc.values())
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_dhat_squared_zero_exact_p2(swap):
+    # the pruning in cohomology_dhat rests on the exact d_hat o d_hat = 0
+    # on every piece it eliminates on P2 and its swap: gradings <= 6 at
+    # n-degree <= 3
+    pair = p2_pair()
+    f = random_coefficients(pair, "f", seed=1, certify=False)
+    g = random_coefficients(pair, "g", seed=2, certify=False)
+    if swap:
+        pair, f, g = pair.swap(), g, f
+    for gv, basis in v_basis(pair, "dhat", 6, n_cap=3).items():
+        for elt in basis:
+            acc = {}
+            for elt2, v in dhat_column(pair, f, g, elt).items():
+                for elt3, w in dhat_column(pair, f, g, elt2).items():
+                    acc[elt3] = acc.get(elt3, 0) + v * w
+            assert not any(acc.values()), (gv, elt)
+
+
+@pytest.mark.parametrize("build", [ray_pair, segment_pair, p2_pair,
+                                   square_pair])
+def test_cohomology_d_pruned_ranks_are_full_ranks(build):
+    pair = build()
+    basis = v_basis(pair, "d", 6)
+    for seed in (1, 3):
+        f = random_coefficients(pair, "f", seed=seed)
+        g = random_coefficients(pair, "g", seed=seed + 1)
+        rep = cohomology_d(Context(pair, f, g), D=6)
+        full = {k: exact_rank([d_column(pair, f, g, e) for e in basis[k]])
+                for k in range(6)}
+        assert rep.ranks == full, seed
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_cohomology_dhat_pruned_ranks_are_full_ranks(swap, monkeypatch):
+    pair = p2_pair()
+    ctx = Context(pair, random_coefficients(pair, "f", seed=1),
+                  random_coefficients(pair, "g", seed=2))
+    if swap:
+        ctx = ctx.swap()
+    pair, f, g = ctx.pair, ctx.f, ctx.g
+    D, p_max = 6, 8
+    calls = []
+
+    def recording(rows):
+        pivots = exact_pivots(rows)
+        # the grading of a piece is one below that of its targets
+        gv = next((2 * dot(m, pair.deg_dual) + len(S) - 1
+                   for row in rows for (m, _, S) in row), None)
+        calls.append((gv if pivots else None, len(pivots)))
+        return pivots
+
+    monkeypatch.setattr(koszul, "exact_pivots", recording)
+    rep = cohomology_dhat(ctx, D=D, p_max=p_max)
+
+    def basis(gv, cap):
+        return v_basis(pair, "dhat", gv, n_cap=cap)[gv]
+
+    full = {}
+
+    def rank(gv, cap):
+        if (gv, cap) not in full:
+            full[(gv, cap)] = exact_rank(
+                [dhat_column(pair, f, g, e) for e in basis(gv, cap)])
+        return full[(gv, cap)]
+
+    for gv in range(D + 1):
+        stop = rep.window["stabilized_at"][gv]
+        hs = [len(basis(gv, cap)) - rank(gv, cap)
+              - (rank(gv - 1, cap - 1) if gv else 0)
+              for cap in range(1, min(stop, p_max - 1) + 1)]
+        stable = [i for i in range(1, len(hs)) if hs[i] == hs[i - 1]]
+        assert stable == ([] if gv in rep.flags else [len(hs) - 1]), gv
+        assert rep.dims[gv] == hs[-1]
+        assert rep.ranks[gv] == rank(gv, stop - 1)
+        assert rep.space_dims[gv] == len(basis(gv, stop - 1))
+    # every piece eliminated, down each (gv - 1, cap - 1) chain of
+    # dropped pivots, has its full rank
+    todo, pieces = list(full), set()
+    while todo:
+        gv, cap = todo.pop()
+        if (gv, cap) not in pieces:
+            pieces.add((gv, cap))
+            if gv and cap:
+                todo.append((gv - 1, cap - 1))
+    expect = Counter((gv if rank(gv, cap) else None, rank(gv, cap))
+                     for gv, cap in pieces)
+    assert Counter(calls) == expect
 
 
 def test_cohomology_dhat_r1_all_zero():

@@ -4,8 +4,8 @@ from fractions import Fraction
 from random import Random
 
 from stringykit.lattice import hnf_rows, integer_kernel
-from stringykit.linalg import (Echelon, SparseBasis, exact_rank,
-                               kernel_basis, rref_basis)
+from stringykit.linalg import (Echelon, SparseBasis, exact_pivots,
+                               exact_rank, kernel_basis, rref_basis)
 
 
 def dense_rank(rows, ncols):
@@ -25,21 +25,43 @@ def dense_rank(rows, ncols):
     return rank
 
 
+def random_rows(rng):
+    """(rows, ncols): up to 12 sparse rational rows of up to 12 columns."""
+    nrows = rng.randint(1, 12)
+    ncols = rng.randint(1, 12)
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in range(ncols):
+            if rng.random() < 0.4:
+                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if v:
+                    row[j] = v
+        rows.append(row)
+    return rows, ncols
+
+
 def test_exact_rank_random_against_dense():
     rng = Random(7)
     for trial in range(25):
-        nrows = rng.randint(1, 12)
-        ncols = rng.randint(1, 12)
-        rows = []
-        for _ in range(nrows):
-            row = {}
-            for j in range(ncols):
-                if rng.random() < 0.4:
-                    v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                    if v:
-                        row[j] = v
-            rows.append(row)
+        rows, ncols = random_rows(rng)
         assert exact_rank(rows) == dense_rank(rows, ncols)
+
+
+def test_exact_pivots_random_against_dense():
+    rng = Random(13)
+    for trial in range(40):
+        rows, ncols = random_rows(rng)
+        # a dependent row, so that not every row yields a pivot
+        rows.append({j: 2 * rows[0].get(j, 0) - rows[-1].get(j, 0)
+                     for j in range(ncols)
+                     if 2 * rows[0].get(j, 0) != rows[-1].get(j, 0)})
+        pivots = exact_pivots(rows)
+        rank = dense_rank(rows, ncols)
+        assert len(set(pivots)) == len(pivots) == rank
+        on_pivots = [{i: r[c] for i, c in enumerate(pivots) if c in r}
+                     for r in rows]
+        assert dense_rank(on_pivots, len(pivots)) == len(pivots)
 
 
 def test_echelon_reduce_canonical():

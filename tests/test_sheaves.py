@@ -173,6 +173,18 @@ def test_dd_zero_and_grading_shift():
                     assert a2 - b2 + len(S2) == a - b + len(S)
 
 
+@pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
+def test_block_pivots_keep_the_full_rank(poly):
+    from stringykit.linalg import exact_rank
+    fan = FanSpace(cone_over_polytope(poly))
+    for origin in fan.cells:
+        cx = BigradedComplex(build_w(fan, origin, 5))
+        for s in range(5):
+            for gr in cx.gr_values(s):
+                assert len(cx.block_pivots(gr, s)) == \
+                    exact_rank(cx.d_columns(gr, s)), (origin, gr, s)
+
+
 def test_r1_ray_cohomology_vanishes():
     fan = ray_fan()
     w = build_w(fan, fan.zero_cell(), 6)
