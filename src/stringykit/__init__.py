@@ -12,22 +12,21 @@ from .gpoly import g_polynomial, ih_dims, verify_degree_bounds
 from .jacobian import (CoefficientFunction, Context, coefficient_function,
                        hat_action, log_derivative_elements,
                        random_coefficients)
-from .koszul import (cohomology_d, cohomology_dhat, cohomology_ha, d_matrix,
-                     decomposition_dims, dhat_matrix, hb_assemble, v_basis)
+from .koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
+                     decomposition_dims, hb_assemble, v_basis)
 from .lattice import (Cone, Face, FacePoset, GorensteinPair, cone_from_rays,
                       cone_over_polytope, dual_cone, dual_face, faces,
                       make_gorenstein_pair, points_at_degree)
-from .sheaves import (FanSpace, build_w, verify_prop_maincoro,
-                      verify_theorem_key)
+from .sheaves import FanSpace, verify_prop_maincoro, verify_theorem_key
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CoefficientFunction", "Cone", "Context", "Face", "FacePoset", "FanSpace",
-    "GorensteinPair", "build_w", "coefficient_function", "cohomology_d",
+    "GorensteinPair", "coefficient_function", "cohomology_d",
     "cohomology_dhat", "cohomology_ha", "cone_from_rays", "cone_over_polytope",
-    "connection_data", "connection_on_hb", "curvature_report", "d_matrix",
-    "decomposition_dims", "dhat_matrix", "dual_cone", "dual_face", "faces",
+    "connection_data", "connection_on_hb", "curvature_report",
+    "decomposition_dims", "dual_cone", "dual_face", "faces",
     "g_polynomial", "hat_action", "hb_assemble", "ih_dims",
     "log_derivative_elements", "make_gorenstein_pair", "points_at_degree",
     "random_coefficients", "v_basis",

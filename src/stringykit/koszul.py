@@ -14,18 +14,20 @@ supported below the cap, modulo exact boundaries of vectors supported
 one step lower.  Stabilization over consecutive caps plus the
 R1/R1-hat assembly oracle certify the result.
 
+Both cohomologies are eliminated by ``linalg.Complex``, which prunes the
+columns of each piece by the pivots of the piece before it.
+
 The job-level entry points take one ``jacobian.Context``, whose f and g
 were certified when it was made; the assemblies read R1 and R1-hat from
 it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
-(``v_basis``, columns, matrices) take explicit data and certify nothing.
+(``v_basis`` and the columns) take explicit data and certify nothing.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InfinitePiece, TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
-from .linalg import _add, exact_pivots
+from .linalg import Complex, _add
 
 
 def _wedges(r):
@@ -130,43 +132,13 @@ def d_column(pair, f, g, elt):
     return col
 
 
-def dhat_column(pair, f, g, elt, drop_from=None):
-    """Image under d_hat = d + wedging by the element's own n-part.
-
-    drop_from: n-degree at which targets are cut (the literal quotient
-    complex V/S_p uses drop_from = p); None keeps the exact image.
-    """
+def dhat_column(pair, f, g, elt):
+    """Image under d_hat = d + wedging by the element's own n-part."""
     m1, n1, S = elt
     col = d_column(pair, f, g, elt)
     for sign, S2 in _wedge(n1, S):
         _add(col, (m1, n1, S2), sign)
-    if drop_from is not None:
-        col = {key: v for key, v in col.items()
-               if dot(pair.deg, key[1]) < drop_from}
     return col
-
-
-def d_matrix(pair, f, g, k):
-    """Sparse columns of d from grading k, keyed by target basis labels."""
-    basis = v_basis(pair, "d", k)[k]
-    return basis, [d_column(pair, f, g, e) for e in basis]
-
-
-def dhat_matrix(pair, f, g, grading_value, p):
-    """d_hat on the quotient complex V/S_p at one hat-grading, as sparse
-    columns (targets of n-degree >= p are zero in the quotient)."""
-    if p < 1:
-        raise ValueError("n-cap must be >= 1")
-    basis = v_basis(pair, "dhat", grading_value, n_cap=p - 1)[grading_value]
-    return basis, [dhat_column(pair, f, g, e, drop_from=p) for e in basis]
-
-
-def _split_pivots(columns):
-    """Pivots of a block-diagonal matrix split by a conserved label."""
-    buckets = {}
-    for col, t in columns:
-        buckets.setdefault(t, []).append(col)
-    return {c for cols in buckets.values() for c in exact_pivots(cols)}
 
 
 def _tau_d(pair, elt):
@@ -190,26 +162,26 @@ class CohomologyReport:
 def cohomology_d(ctx, D=6):
     """Cohomology of (V, d) in gradings 0..D-1 by exact sparse ranks.
 
-    The pivots P of d_(k-1) get no column of d_k.  On P an echelon of
-    im d_(k-1) is triangular with a nonzero diagonal, so each tau in P is
-    a boundary minus a combination of basis elements outside P; as
-    d_k d_(k-1) = 0, d_k(tau) is in the span of their d_k images.  So
-    each rank is the true rank, not read off the oracle."""
+    d preserves tau = <m, deg_dual> - <deg, n> + |S|, so the complex is
+    eliminated by ``linalg.Complex`` in pieces keyed (k, tau), the pivots
+    of d_(k-1) pruning the columns of d_k."""
     if D < 1:
         raise TruncationTooSmall("cohomology_d needs D >= 1")
     pair, f, g = ctx.pair, ctx.f, ctx.g
     basis = v_basis(pair, "d", D)
     vdims = {k: len(basis[k]) for k in range(D + 1)}
-    ranks = {}
-    pivots = set()
+    pieces = {}
     for k in range(D):
-        pivots = _split_pivots([(d_column(pair, f, g, e), _tau_d(pair, e))
-                                for e in basis[k] if e not in pivots])
-        ranks[k] = len(pivots)
-    dims = {}
-    for k in range(D):
-        dims[k] = vdims[k] - ranks[k] - (ranks[k - 1] if k > 0 else 0)
-        assert dims[k] >= 0
+        for e in basis[k]:
+            pieces.setdefault((k, _tau_d(pair, e)), []).append(e)
+    cx = Complex(lambda k, tau: pieces.get((k, tau), ()),
+                 lambda e: d_column(pair, f, g, e),
+                 lambda k, tau: (k - 1, tau) if k else None)
+    ranks = dict.fromkeys(range(D), 0)
+    dims = dict.fromkeys(range(D), 0)
+    for k, tau in pieces:
+        ranks[k] += len(cx.pivots(k, tau))
+        dims[k] += cx.dim(k, tau)
     return CohomologyReport(dims=dims, space_dims=vdims, ranks=ranks,
                             window={"max_degree": D - 1},
                             euler_ok=True, flags={})
@@ -257,25 +229,11 @@ def cohomology_dhat(ctx, D=6, p_max=8):
     if p_max < 2:
         raise TruncationTooSmall("cohomology_dhat needs p_max >= 2")
     pair, f, g = ctx.pair, ctx.f, ctx.g
-
-    @lru_cache(maxsize=None)
-    def basis_at(gv, cap):
-        return v_basis(pair, "dhat", gv, n_cap=cap)[gv]
-
-    @lru_cache(maxsize=None)
-    def pivots_at(gv, cap):
-        """Pivots of the exact d_hat on basis vectors of n-degree <= cap;
-        those of (gv-1, cap-1) lie there and get no column (as in
-        cohomology_d)."""
-        drop = pivots_at(gv - 1, cap - 1) if gv and cap else ()
-        return set(exact_pivots([dhat_column(pair, f, g, e) for e in
-                                 basis_at(gv, cap) if e not in drop]))
-
-    def h_at(gv, cap):
-        kdim = len(basis_at(gv, cap)) - len(pivots_at(gv, cap))
-        bdim = len(pivots_at(gv - 1, cap - 1)) if gv > 0 else 0
-        return kdim - bdim
-
+    # keyed (gv, cap): basis vectors of n-degree <= cap; d_hat raises the
+    # n-degree by at most one, so the pivots of (gv-1, cap-1) lie there
+    cx = Complex(lambda gv, cap: v_basis(pair, "dhat", gv, n_cap=cap)[gv],
+                 lambda e: dhat_column(pair, f, g, e),
+                 lambda gv, cap: (gv - 1, cap - 1) if gv and cap else None)
     dims = {}
     stop_at = {}
     flags = {}
@@ -284,7 +242,7 @@ def cohomology_dhat(ctx, D=6, p_max=8):
         prev = None
         stabilized = None
         for p in range(2, p_max + 1):
-            cur = h_at(gv, p - 1)
+            cur = cx.dim(gv, p - 1)
             if prev is not None and cur == prev:
                 stabilized = (p - 1, cur)
                 break
@@ -296,9 +254,9 @@ def cohomology_dhat(ctx, D=6, p_max=8):
         else:
             dims[gv] = stabilized[1]
             stop_at[gv] = stabilized[0]
-        space_dims[gv] = len(basis_at(gv, stop_at[gv] - 1))
+        space_dims[gv] = len(cx.basis(gv, stop_at[gv] - 1))
     return CohomologyReport(dims=dims, space_dims=space_dims,
-                            ranks={gv: len(pivots_at(gv, stop_at[gv] - 1))
+                            ranks={gv: len(cx.pivots(gv, stop_at[gv] - 1))
                                    for gv in range(D + 1)},
                             window={"max_hat_grading": D,
                                     "p_max": p_max,

@@ -7,8 +7,10 @@ then eliminated over ``int`` by cross multiples (``_combine``) and kept
 primitive by dividing out its content.
 
 * ``exact_pivots`` -- the rank engine (``exact_rank`` counts its pivot
-  columns), with a cheap Markowitz-style pivot rule; the hot path for
-  the Koszul and sheaf complexes, which hand each d's pivots to the next.
+  columns), with a cheap Markowitz-style pivot rule.
+* ``Complex`` -- a cochain complex in pieces, each eliminated once by
+  ``exact_pivots`` with the pivots of the piece before pruning its
+  columns; the engine of the Koszul and sheaf cohomologies.
 * ``Echelon`` -- an insertion echelon in reduced form.  Deterministic
   (smallest column wins), so every basis derived from it is canonical.
   A row is stored as a primitive integer row with a positive pivot
@@ -270,3 +272,53 @@ def exact_pivots(rows):
 def exact_rank(rows):
     """Rank over Q of the span of the given sparse rows."""
     return len(exact_pivots(rows))
+
+
+class Complex:
+    """A cochain complex split into pieces, each eliminated once.
+
+    A piece has a key tuple.  ``basis(*key)`` lists its labels in column
+    order, ``column(label)`` is d of one label as a sparse dict over the
+    labels of the next piece, and ``prev(*key)`` is the key of the piece
+    whose d lands in this one, None for a first piece.  Each basis is
+    read once.
+
+    The pivots P of d on the prev piece get no column here.  The images
+    of that d restricted to P have full rank |P|, so each label in P is a
+    boundary minus a combination of labels outside P; as d o d = 0, its d
+    lies in the span of the d of those labels.  So ``pivots(*key)`` has as
+    many labels as the rank of d on the piece, and the images restricted
+    to them have full rank, as the next piece's pruning needs; the
+    cohomology ``dim(*key)`` is |basis| - rank out - rank in.
+    """
+
+    def __init__(self, basis, column, prev):
+        self._basis_of, self._column, self._prev = basis, column, prev
+        self._bases = {}
+        self._pivots = {}
+
+    def basis(self, *key):
+        got = self._bases.get(key)
+        if got is None:
+            got = self._bases[key] = self._basis_of(*key)
+        return got
+
+    def _pivots_in(self, key):
+        prev = self._prev(*key)
+        return set() if prev is None else self.pivots(*prev)
+
+    def pivots(self, *key):
+        """The pivot labels of d on the piece, as many as its rank."""
+        got = self._pivots.get(key)
+        if got is None:
+            drop = self._pivots_in(key)
+            got = self._pivots[key] = set(exact_pivots(
+                [self._column(e) for e in self.basis(*key) if e not in drop]))
+        return got
+
+    def dim(self, *key):
+        """Dimension of the cohomology at the piece."""
+        h = (len(self.basis(*key)) - len(self.pivots(*key))
+             - len(self._pivots_in(key)))
+        assert h >= 0
+        return h

@@ -23,7 +23,7 @@ from .errors import TruncationTooSmall
 from .gpoly import ih_dims
 from .koszul import _contract, _wedge
 from .lattice import (annihilator_face, dot, dual_cone, faces, span_coords)
-from .linalg import Echelon, SparseBasis, _add, exact_pivots, kernel_basis
+from .linalg import Complex, Echelon, SparseBasis, _add, kernel_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,11 +401,6 @@ class SheafSections:
                               vec_row, a, b)
 
 
-def build_w(fan, origin, D):
-    """W = global sections of the minimal sheaf over the fan."""
-    return SheafSections(MinimalSheaf(fan, origin, D))
-
-
 class BigradedComplex:
     """(W tensor Lambda* N, d) split by the preserved grading
     gr = deg_x - deg_y + Lambda-degree; d raises s = deg_x + deg_y by 1."""
@@ -421,7 +416,6 @@ class BigradedComplex:
         self._check_dual(self.m_basis, self.n_basis)
         self.D = sections.D
         self._mats = {}
-        self._pivot_cache = {}
 
     @staticmethod
     def _check_dual(ms, ns):
@@ -486,16 +480,13 @@ class BigradedComplex:
         """Differential on the (gr, s) block, one column per label."""
         return [self.d_column(lab) for lab in self.block_basis(gr, s)]
 
-    def block_pivots(self, gr, s):
-        """Pivot labels of d on the (gr, s) block; those of (gr, s-1) get
-        no column (as in koszul.cohomology_d)."""
-        got = self._pivot_cache.get((gr, s))
-        if got is None:
-            drop = self.block_pivots(gr, s - 1) if s > 0 else ()
-            got = self._pivot_cache[(gr, s)] = set(exact_pivots(
-                [self.d_column(lab) for lab in self.block_basis(gr, s)
-                 if lab not in drop]))
-        return got
+    def engine(self):
+        """A new ``linalg.Complex`` of the blocks, keyed (gr, s).  It is
+        not kept: an engine held here would close a reference cycle
+        through its bound methods and keep the sheaf alive until the
+        cyclic collector ran."""
+        return Complex(self.block_basis, self.d_column,
+                       lambda gr, s: (gr, s - 1) if s else None)
 
     def gr_values(self, s):
         lo = -s
@@ -504,18 +495,12 @@ class BigradedComplex:
 
     def cohomology(self):
         """dims of H at every (gr, s) with s <= D-1 (the certified window)."""
+        cx = self.engine()
         out = {}
         for s in range(self.D):
             for gr in self.gr_values(s):
-                dim = len(self.block_basis(gr, s))
-                if dim == 0 and s > 0:
-                    continue
-                rank_out = len(self.block_pivots(gr, s))
-                rank_in = len(self.block_pivots(gr, s - 1)) if s > 0 else 0
-                h = dim - rank_out - rank_in
-                assert h >= 0
-                if dim or h:
-                    out[(gr, s)] = h
+                if cx.basis(gr, s):
+                    out[(gr, s)] = cx.dim(gr, s)
         return out
 
 
@@ -524,7 +509,8 @@ def _nonzero_cohomology(fan, origin, D):
     by (gr, deg_x + deg_y) with deg_x + deg_y <= D - 1."""
     if D < 1:
         raise TruncationTooSmall("no certified window below D=1")
-    h = BigradedComplex(build_w(fan, origin, D)).cohomology()
+    sections = SheafSections(MinimalSheaf(fan, origin, D))
+    h = BigradedComplex(sections).cohomology()
     return {k: d for k, d in h.items() if d}
 
 

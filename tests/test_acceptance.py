@@ -11,8 +11,8 @@ from pathlib import Path
 from stringykit.gkz import connection_on_hb, curvature_report
 from stringykit.jacobian import Context, random_coefficients
 from stringykit.koszul import (cohomology_d, cohomology_dhat, d_column,
-                               decomposition_dims, dhat_column, dhat_matrix,
-                               d_matrix, hb_assemble)
+                               decomposition_dims, dhat_column, hb_assemble,
+                               v_basis)
 from stringykit.lattice import (cone_from_rays, cone_over_polytope,
                                 dual_cone, dual_face, faces,
                                 make_gorenstein_pair)
@@ -167,21 +167,20 @@ def test_criterion_7_structural_suites():
     pair = pairs["segment"]
     f = random_coefficients(pair, "f", seed=3)
     g = random_coefficients(pair, "g", seed=4)
+    basis = v_basis(pair, "d", 3)
     for k in range(3):
-        _, cols = d_matrix(pair, f, g, k)
-        for col in cols:
+        for col in (d_column(pair, f, g, e) for e in basis[k]):
             acc = {}
             for elt, v in col.items():
                 for elt2, w in d_column(pair, f, g, elt).items():
                     acc[elt2] = acc.get(elt2, 0) + v * w
             assert not any(acc.values())
+    hat_basis = v_basis(pair, "dhat", 3, n_cap=4)
     for gv in range(4):
-        _, cols = dhat_matrix(pair, f, g, gv, 5)
-        for col in cols:
+        for col in (dhat_column(pair, f, g, e) for e in hat_basis[gv]):
             acc = {}
             for elt, v in col.items():
-                for elt2, w in dhat_column(pair, f, g, elt,
-                                           drop_from=5).items():
+                for elt2, w in dhat_column(pair, f, g, elt).items():
                     acc[elt2] = acc.get(elt2, 0) + v * w
             assert not any(acc.values())
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 from stringykit.lattice import hnf_rows, integer_kernel
-from stringykit.linalg import (Echelon, SparseBasis, exact_pivots,
+from stringykit.linalg import (Complex, Echelon, SparseBasis, exact_pivots,
                                exact_rank, kernel_basis, rref_basis)
 
 
@@ -62,6 +62,58 @@ def test_exact_pivots_random_against_dense():
         on_pivots = [{i: r[c] for i, c in enumerate(pivots) if c in r}
                      for r in rows]
         assert dense_rank(on_pivots, len(pivots)) == len(pivots)
+
+
+def random_complex(rng, ndims):
+    """Dense differentials of a complex with the given dimensions: d[k] is
+    the list of the n_k columns of d_k, each of length n_(k+1) (0 past
+    the last).  A sum of copies of Q -> Q and Q on shuffled labels, in a
+    basis then changed at random, so d_k d_(k-1) = 0 by construction."""
+    order = [rng.sample(range(n), n) for n in ndims] + [[]]
+    d = []
+    rank_in = 0
+    for k, n in enumerate(ndims):
+        nxt = len(order[k + 1])
+        r = min(n - rank_in, nxt, rng.randint(1, 3))
+        cols = [[Fraction(0)] * nxt for _ in range(n)]
+        for j in range(r):
+            cols[order[k][rank_in + j]][order[k + 1][j]] = Fraction(1)
+        d.append(cols)
+        rank_in = r
+    for k, n in enumerate(ndims):
+        for _ in range(rng.randint(0, n)):
+            # new basis vector x + a*y: a column step on d_k, a row step
+            # on d_(k-1)
+            x, y = rng.sample(range(n), 2)
+            a = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            d[k][x] = [u + a * v for u, v in zip(d[k][x], d[k][y])]
+            for col in d[k - 1] if k else ():
+                col[y] -= a * col[x]
+    return d
+
+
+def test_complex_against_dense():
+    rng = Random(5)
+    for trial in range(20):
+        ndims = [rng.randint(2, 6) for _ in range(4)]
+        d = random_complex(rng, ndims)
+        sparse = [[{j: v for j, v in enumerate(col) if v} for col in dk]
+                  for dk in d]
+        for k in range(1, len(d)):
+            for col in d[k - 1]:
+                image = [sum(c * d[k][i][j] for i, c in enumerate(col))
+                         for j in range(len(d[k][0]))]
+                assert not any(image), (trial, k)
+        cx = Complex(lambda k: [(k, i) for i in range(ndims[k])],
+                     lambda e: {(e[0] + 1, j): v
+                                for j, v in sparse[e[0]][e[1]].items()},
+                     lambda k: (k - 1,) if k else None)
+        rank = [dense_rank(rows, len(dk[0])) for rows, dk in zip(sparse, d)]
+        # piece 0 has no prev, the next piece of the last one is empty
+        assert rank[-1] == 0
+        for k, n in enumerate(ndims):
+            assert len(cx.pivots(k)) == rank[k], (trial, k)
+            assert cx.dim(k) == (n - rank[k]) - (rank[k - 1] if k else 0)
 
 
 def test_echelon_reduce_canonical():

@@ -9,7 +9,7 @@ from stringykit.koszul import d_column, dhat_column, v_basis
 from stringykit.lattice import cone_over_polytope, make_gorenstein_pair
 from stringykit.linalg import Echelon, kernel_basis, rational
 from stringykit.sheaves import (BigradedComplex, FanSpace, MinimalSheaf,
-                                build_w)
+                                SheafSections)
 
 
 def segment_pair():
@@ -65,7 +65,7 @@ def test_segment_sheaf_columns_are_int():
     pair = segment_pair()
     fan = FanSpace(pair.cone)
     for origin in fan.cells:
-        cx = BigradedComplex(build_w(fan, origin, 4))
+        cx = BigradedComplex(SheafSections(MinimalSheaf(fan, origin, 4)))
         seen = set()
         for s in range(4):
             for gr in cx.gr_values(s):
