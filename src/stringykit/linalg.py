@@ -172,53 +172,31 @@ class Echelon:
     def pivot_columns(self):
         return sorted(self._rows)
 
-
-def rref_basis(vectors):
-    """Canonical reduced-echelon basis of the span of the given vectors."""
-    ech = Echelon()
-    for v in vectors:
-        ech.insert(v)
-    return ech.basis_rows()
+    def coords(self, vec):
+        """Coordinates of vec in ``basis_rows()``: its entries at the
+        pivot columns; ValueError when vec is outside the span."""
+        if self._reduce(vec, None)[1]:
+            raise ValueError("vector not in span")
+        return [vec.get(c, 0) for c in self.pivot_columns()]
 
 
 def kernel_basis(vectors):
     """Kernel of the matrix whose ROWS are the given vectors' coordinates
-    in terms of the vector list: returns combos c with sum_i c[i]*v_i = 0.
+    in terms of the vector list: an Echelon over the combination
+    coordinates, whose ``basis_rows()`` are the canonical combos c with
+    sum_i c[i]*v_i = 0.
 
-    Tracking shadows carry the combination; output is canonicalized to a
-    reduced echelon basis over the combination coordinates.
+    Tracking shadows carry the combination of each dependent vector.
     """
     ech = Echelon()
-    combos = []
+    kernel = Echelon()
     for i, v in enumerate(vectors):
         rem, sh = ech.reduce(v, {i: 1})
         if not rem:
-            combos.append(sh)
+            kernel.insert(sh)
         else:
             ech.insert(v, {i: 1})
-    return rref_basis(combos)
-
-
-class SparseBasis:
-    """A canonical RREF basis of a subspace with coordinate extraction."""
-
-    def __init__(self, vectors=()):
-        self._ech = Echelon()
-        for v in vectors:
-            self._ech.insert(v)
-        self.rows = self._ech.basis_rows()
-        self.pivots = self._ech.pivot_columns()
-
-    def __len__(self):
-        return len(self.rows)
-
-    def coords(self, vec):
-        """Coordinates of vec in this basis; raises if vec not in span."""
-        out = [vec.get(p, 0) for p in self.pivots]
-        rem, _ = self._ech.reduce(vec)
-        if rem:
-            raise ValueError("vector not in span")
-        return out
+    return kernel
 
 
 def exact_pivots(rows):

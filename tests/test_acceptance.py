@@ -140,7 +140,9 @@ def test_criterion_6_maingkz_flatness():
     # symmetry) is equivalent to the curvature identity only up to the
     # commutator [A_n, A_n'], which is nonzero on the 2x2 block; the
     # identity below is the exact flatness of Theorem mainGKZ's
-    # connection (see decisions ledger).
+    # connection: the curvature of d + A adds that commutator to the
+    # antisymmetrized derivative, so symmetric derivatives mean a flat
+    # connection only where the matrices commute.
     t0 = time.monotonic()
     pair = _pairs()["p2_triangle"]
     f = random_coefficients(pair, "f", seed=1)

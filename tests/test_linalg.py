@@ -3,9 +3,11 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from stringykit.lattice import hnf_rows, integer_kernel
-from stringykit.linalg import (Complex, Echelon, SparseBasis, exact_pivots,
-                               exact_rank, kernel_basis, rref_basis)
+from stringykit.linalg import (Complex, Echelon, exact_pivots, exact_rank,
+                               kernel_basis)
 
 
 def dense_rank(rows, ncols):
@@ -255,7 +257,7 @@ def test_kernel_basis():
     # rows v0 + v1 = v2  -> one relation
     vs = [{0: Fraction(1)}, {1: Fraction(1)},
           {0: Fraction(1), 1: Fraction(1)}]
-    combos = kernel_basis(vs)
+    combos = kernel_basis(vs).basis_rows()
     assert len(combos) == 1
     c = combos[0]
     acc = {}
@@ -266,19 +268,28 @@ def test_kernel_basis():
 
 
 def test_sparse_basis_coords():
-    basis = SparseBasis([{0: Fraction(1), 1: Fraction(1)},
-                         {1: Fraction(2)}])
+    basis = Echelon()
+    for v in ({0: Fraction(1), 1: Fraction(1)}, {1: Fraction(2)}):
+        basis.insert(v)
     coords = basis.coords({0: Fraction(3), 1: Fraction(7)})
     rebuilt = {}
-    for c, row in zip(coords, basis.rows):
+    for c, row in zip(coords, basis.basis_rows()):
         for j, v in row.items():
             rebuilt[j] = rebuilt.get(j, 0) + c * v
     assert rebuilt == {0: Fraction(3), 1: Fraction(7)}
+    with pytest.raises(ValueError):
+        basis.coords({2: Fraction(1)})
 
 
 def test_rref_deterministic():
     vs = [{0: Fraction(2), 2: Fraction(2)}, {0: Fraction(1), 1: Fraction(1)}]
-    assert rref_basis(vs) == rref_basis(list(reversed(vs)))
+    rows = []
+    for order in (vs, list(reversed(vs))):
+        ech = Echelon()
+        for v in order:
+            ech.insert(v)
+        rows.append(ech.basis_rows())
+    assert rows[0] == rows[1]
 
 
 def test_integer_kernel_saturated():

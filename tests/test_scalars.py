@@ -8,8 +8,7 @@ from stringykit.jacobian import random_coefficients
 from stringykit.koszul import d_column, dhat_column, v_basis
 from stringykit.lattice import cone_over_polytope, make_gorenstein_pair
 from stringykit.linalg import Echelon, kernel_basis, rational
-from stringykit.sheaves import (BigradedComplex, FanSpace, MinimalSheaf,
-                                SheafSections)
+from stringykit.sheaves import BigradedComplex, FanSpace, MinimalSheaf
 
 
 def segment_pair():
@@ -65,7 +64,7 @@ def test_segment_sheaf_columns_are_int():
     pair = segment_pair()
     fan = FanSpace(pair.cone)
     for origin in fan.cells:
-        cx = BigradedComplex(SheafSections(MinimalSheaf(fan, origin, 4)))
+        cx = BigradedComplex(MinimalSheaf(fan, origin, 4))
         seen = set()
         for s in range(4):
             for gr in cx.gr_values(s):
@@ -139,7 +138,8 @@ def test_int_and_fraction_rows_give_the_same_echelon():
             assert e_int.reduce(probe) == e_frac.reduce(probe_frac)
             for v in e_int.reduce(probe)[0].values():
                 assert type(v) in (int, Fraction)
-        assert kernel_basis(rows) == kernel_basis(as_frac)
+        assert (kernel_basis(rows).basis_rows()
+                == kernel_basis(as_frac).basis_rows())
         for ech in (e_int, e_frac):
             for row in ech.basis_rows():
                 for v in row.values():

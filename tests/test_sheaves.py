@@ -6,9 +6,8 @@ from stringykit.errors import TruncationTooSmall
 from stringykit.lattice import (cone_from_rays, cone_over_polytope, dot,
                                 points_at_degree, make_gorenstein_pair)
 from stringykit.sheaves import (BigradedComplex, Cell, FanSpace,
-                                MinimalSheaf, SheafSections,
-                                annihilator_face, verify_prop_maincoro,
-                                verify_theorem_key)
+                                MinimalSheaf, annihilator_face,
+                                verify_prop_maincoro, verify_theorem_key)
 
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 P2 = [(1, 0), (0, 1), (-1, -1)]
@@ -83,7 +82,7 @@ def test_generator_degrees_match_g_polynomials():
 
 def test_w_dims_r1_hand_values():
     fan = ray_fan()
-    w = SheafSections(MinimalSheaf(fan, fan.zero_cell(), 5))
+    w = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), 5))
     assert w.dim(0, 0) == 1
     for a in range(1, 5):
         assert w.dim(a, 0) == 1
@@ -93,14 +92,14 @@ def test_w_dims_r1_hand_values():
             assert w.dim(a, b) == 0
     # W vanishes in bidegree (1, 1), so a nonzero vector lies outside it
     with pytest.raises(ValueError):
-        w.coords(1, 1, {0: 1})
+        w.space(1, 1)[1].coords({0: 1})
 
 
 def test_w_dims_quadrant_monomial_count():
     # independent oracle: pairs (m, n) in K x K_dual with <m, n> = 0
     pair = make_gorenstein_pair(cone_from_rays([(1, 0), (0, 1)]))
     fan = FanSpace(pair.cone)
-    w = SheafSections(MinimalSheaf(fan, fan.zero_cell(), 5))
+    w = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), 5))
     topK = pair.poset().top
     topD = pair.dual_poset().top
     for a in range(5):
@@ -117,7 +116,7 @@ def test_w_degree_zero_always_one():
     for build in (ray_fan, quadrant_fan,
                   lambda: FanSpace(cone_over_polytope(P2))):
         fan = build()
-        w = SheafSections(MinimalSheaf(fan, fan.zero_cell(), 3))
+        w = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), 3))
         assert w.dim(0, 0) == 1
 
 
@@ -148,8 +147,7 @@ def test_flabbiness_restrictions_surjective():
 
 def test_dd_zero_and_grading_shift():
     fan = FanSpace(cone_over_polytope(P2))
-    w = SheafSections(MinimalSheaf(fan, fan.zero_cell(), 4))
-    cx = BigradedComplex(w)
+    cx = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), 4))
     # d o d = 0 on all stored blocks
     for s in range(3):
         for gr in cx.gr_values(s):
@@ -179,7 +177,7 @@ def test_block_pivots_keep_the_full_rank(poly):
     from stringykit.linalg import exact_rank
     fan = FanSpace(cone_over_polytope(poly))
     for origin in fan.cells:
-        cx = BigradedComplex(SheafSections(MinimalSheaf(fan, origin, 5)))
+        cx = BigradedComplex(MinimalSheaf(fan, origin, 5))
         engine = cx.engine()
         for s in range(5):
             for gr in cx.gr_values(s):
@@ -189,19 +187,8 @@ def test_block_pivots_keep_the_full_rank(poly):
 
 def test_r1_ray_cohomology_vanishes():
     fan = ray_fan()
-    w = SheafSections(MinimalSheaf(fan, fan.zero_cell(), 6))
-    h = BigradedComplex(w).cohomology()
+    h = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), 6)).cohomology()
     assert all(d == 0 for d in h.values())
-
-
-def test_dual_basis_independence():
-    fan = quadrant_fan()
-    w = SheafSections(MinimalSheaf(fan, fan.zero_cell(), 4))
-    h1 = BigradedComplex(w).cohomology()
-    m2 = [(1, 1), (0, 1)]
-    n2 = [(1, 0), (-1, 1)]
-    h2 = BigradedComplex(w, (m2, n2)).cohomology()
-    assert h1 == h2
 
 
 def test_theorem_key_quadrant():
@@ -239,6 +226,21 @@ def test_theorem_key_every_rank_one_to_four():
     ]
     for cone, D in cases:
         assert verify_theorem_key(cone, D=D)["verdict"] == "pass"
+
+
+def test_prop_maincoro_rejects_non_cell_origin():
+    # 16 face pairs of the quadrant, 9 of them cells
+    fan = quadrant_fan()
+    rejected = 0
+    for theta0 in fan.poset:
+        tstar = annihilator_face(theta0, fan.dual_poset)
+        for sigma0 in fan.dual_poset:
+            if fan.dual_poset.leq(sigma0, tstar):
+                continue
+            with pytest.raises(ValueError):
+                verify_prop_maincoro(fan, theta0, sigma0, D=3)
+            rejected += 1
+    assert rejected == 7
 
 
 def test_prop_maincoro_quadrant_all_origins():
