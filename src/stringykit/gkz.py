@@ -24,7 +24,7 @@ when it was made, so a job builds each one once.
 from .errors import DegenerateCoefficients, TruncationTooSmall
 from .jacobian import Context, _delta_in_face
 from .lattice import dot, dual_face, faces, padd
-from .linalg import Echelon, vec_add
+from .linalg import vec_add
 
 
 def _transpose(cols):
@@ -35,9 +35,9 @@ class ConnectionData:
     """Expansion matrices A_n on one face's hat-quotient at a base point.
 
     The basis is every interior monomial with a new class, in (degree,
-    lex) order; the choice is independent of g near g0.
-    ``matrices[n]`` is A_n for every degree-one point n of the face:
-    column i expands the class of basis[i] + n in the basis.
+    lex) order, independent of g near g0; ``model.classes`` gives
+    coordinates in it.  ``matrices[n]`` is A_n for every degree-one
+    point n of the face: column i expands basis[i] + n in the basis.
     """
 
     def __init__(self, model):
@@ -45,12 +45,6 @@ class ConnectionData:
         self.sigma, self.g0 = model.face, model.g
         self.basis = tuple(p for _, level in model.interior_level_data()
                            for p in level)
-        self._coords = Echelon()
-        for i, p in enumerate(self.basis):
-            rem = model.class_reduce({p: 1})
-            if not rem or self._coords.insert(rem, {i: 1}) is None:
-                raise DegenerateCoefficients(
-                    "selected monomials do not stay a basis")
         self.matrices = {n: _transpose(self._columns(n))
                          for n in _delta_in_face(self.sigma, self.g0)}
 
@@ -58,11 +52,11 @@ class ConnectionData:
         return len(self.basis)
 
     def _coordinates(self, vec):
-        red, sh = self._coords.reduce(vec, {})
+        red, sh = self.model.classes.reduce(vec, {})
         if red:
             raise TruncationTooSmall(
                 "class not expressible inside the truncation window")
-        return [-sh.get(i, 0) for i in range(len(self.basis))]
+        return [-sh.get(p, 0) for p in self.basis]
 
     def _columns(self, n):
         """Coordinates of basis[i] + n, one list per basis monomial."""

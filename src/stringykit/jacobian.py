@@ -73,7 +73,7 @@ def coefficient_function(pair, side, mapping):
                                tuple(sorted(mapping.items())))
 
 
-def random_coefficients(pair, side, seed, certify=True, ctx=None):
+def random_coefficients(pair, side, seed, ctx=None):
     """Seeded small nonzero integer coefficients, certified nondegenerate.
 
     Resamples (deterministically) on certificate failure, up to
@@ -92,7 +92,7 @@ def random_coefficients(pair, side, seed, certify=True, ctx=None):
                 v = rng.randint(-5, 5)
             mapping[p] = v
         f = coefficient_function(pair, side, mapping)
-        if not certify or ctx.is_nondegenerate(f):
+        if ctx.is_nondegenerate(f):
             return f
     raise DegenerateCoefficients(
         "no nondegenerate sample found in %d draws" % MAX_RESAMPLE)
@@ -295,18 +295,18 @@ class HatModel:
 
     def interior_level_data(self):
         """Per level k <= D: the interior monomials whose classes are
-        new.  One echelon spans all levels, so a class counts only when
-        it is new modulo the lower levels.  Computed once per model,
-        which does not change after its build."""
+        new.  One echelon, ``classes``, spans all levels (so a class counts
+        only when new modulo lower levels), the class of p with shadow
+        {p: 1}.  Computed once per model, fixed after its build."""
         if self._level_data is None:
-            img = Echelon()
+            self.classes = Echelon()
             out = []
             for k in range(self.D + 1):
                 level = []
                 for p in points_at_degree(self.face, k, self.lam,
                                           interior_only=True):
                     rem = self.class_reduce({p: 1})
-                    if rem and img.insert(rem) is not None:
+                    if rem and self.classes.insert(rem, {p: 1}) is not None:
                         level.append(p)
                 out.append((k, level))
             self._level_data = out

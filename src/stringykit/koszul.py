@@ -24,17 +24,11 @@ it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InfinitePiece, TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
 from .linalg import Complex, _add
-
-
-def _wedges(r):
-    out = [()]
-    for j in range(r):
-        out = out + [S + (j,) for S in out]
-    return sorted(out, key=lambda S: (len(S), S))
 
 
 def v_basis(pair, grading, bound, n_cap=None):
@@ -45,7 +39,7 @@ def v_basis(pair, grading, bound, n_cap=None):
     n-degree cap (InfinitePiece otherwise), points with <deg,n> <= n_cap.
     """
     r = pair.rank
-    wedges = _wedges(r)
+    wedges = [S for ell in range(r + 1) for S in combinations(range(r), ell)]
     top, dual_top = pair.poset().top, pair.dual_poset().top
     out = {}
     if grading == "d":
@@ -76,7 +70,7 @@ def v_basis(pair, grading, bound, n_cap=None):
                 ell = gv - 2 * a
                 if ell > r:
                     continue
-                level_wedges = [S for S in wedges if len(S) == ell]
+                level_wedges = list(combinations(range(r), ell))
                 for m in pts_m[a]:
                     for pts in pts_n:
                         for n in pts:
@@ -148,14 +142,11 @@ def _tau_d(pair, elt):
 
 @dataclass
 class CohomologyReport:
-    """Per-grading dimensions with the rank bookkeeping that produced
-    them.  ``euler_ok`` is always True and checks nothing: with dims[k] =
-    V_k - r_k - r_(k-1) the alternating sums agree for any ranks."""
+    """Per-grading dimensions and the ranks that produced them."""
     dims: dict
     space_dims: dict
     ranks: dict
     window: dict
-    euler_ok: bool
     flags: dict
 
 
@@ -168,8 +159,8 @@ def cohomology_d(ctx, D=6):
     if D < 1:
         raise TruncationTooSmall("cohomology_d needs D >= 1")
     pair, f, g = ctx.pair, ctx.f, ctx.g
-    basis = v_basis(pair, "d", D)
-    vdims = {k: len(basis[k]) for k in range(D + 1)}
+    basis = v_basis(pair, "d", D - 1)
+    vdims = {k: len(v) for k, v in basis.items()}
     pieces = {}
     for k in range(D):
         for e in basis[k]:
@@ -183,8 +174,7 @@ def cohomology_d(ctx, D=6):
         ranks[k] += len(cx.pivots(k, tau))
         dims[k] += cx.dim(k, tau)
     return CohomologyReport(dims=dims, space_dims=vdims, ranks=ranks,
-                            window={"max_degree": D - 1},
-                            euler_ok=True, flags={})
+                            window={"max_degree": D - 1}, flags={})
 
 
 def _face_sum(ctx, summand):
@@ -260,8 +250,7 @@ def cohomology_dhat(ctx, D=6, p_max=8):
                                    for gv in range(D + 1)},
                             window={"max_hat_grading": D,
                                     "p_max": p_max,
-                                    "stabilized_at": stop_at},
-                            euler_ok=True, flags=flags)
+                                    "stabilized_at": stop_at}, flags=flags)
 
 
 def cohomology_ha(ctx, D=None, p_max=8):

@@ -311,7 +311,6 @@ class FacePoset:
         self.faces = tuple(sorted(
             (_make_face(cone, rays) for rays in seen.values()),
             key=lambda f: (f.dim, f.rays)))
-        self.by_active = {f.active: f for f in self.faces}
         self.by_rays = {f.rays: f for f in self.faces}
         self.zero = self.by_rays[()]
         self.top = self.by_rays[tuple(sorted(cone.rays))]

@@ -195,7 +195,7 @@ def kernel_basis(vectors):
         if not rem:
             kernel.insert(sh)
         else:
-            ech.insert(v, {i: 1})
+            ech.insert(rem, sh)
     return kernel
 
 

@@ -244,7 +244,6 @@ def _verify_thm_main(ctx, job):
         "window": rep.window,
         "cohomology_dims": _dims_table(rep.dims),
         "decomposition_dims": _dims_table(deco["total"]),
-        "euler_ok": rep.euler_ok,
     }
 
 

@@ -72,17 +72,6 @@ def test_basis_survives_perturbation():
     assert block.basis == basis
 
 
-def test_basis_guard_rejects_dependent_monomials():
-    pair = p2_pair()
-    g = random_coefficients(pair, "g", seed=1)
-    sigma = pair.dual_poset().top
-    model = HatModel(sigma, g, sigma.dim + 2)
-    levels = model.interior_level_data()
-    model.interior_level_data = lambda: levels + levels
-    with pytest.raises(DegenerateCoefficients):
-        ConnectionData(model)
-
-
 def test_segment_matrices_frozen_oracle():
     # hand-solved 1x1 block at g = (1, 1, 1) on (-1,1), (0,1), (1,1):
     # A_n0 = -g0/(g0^2 - 4 g- g+),  A_n+- = 2 g-+ /(g0^2 - 4 g- g+)
@@ -182,6 +171,22 @@ def test_connection_blocks_match_hb_summands():
     assert trivial.matrices == {}
     hb = hb_assemble(Context(pair, f, g))
     assert sum(hb["total"].values()) == 4
+
+
+@pytest.mark.parametrize("vertices", [P2, [(-1, -1), (2, -1), (-1, 2)]],
+                         ids=["p2", "polar_p2"])
+def test_block_coordinates_come_from_model_classes(vertices):
+    # a block reads coordinates from its model's echelon of classes: one
+    # class per basis monomial, and basis[i] has the i-th unit vector
+    pair = make_gorenstein_pair(cone_over_polytope(vertices))
+    f = random_coefficients(pair, "f", seed=1)
+    g = random_coefficients(pair, "g", seed=2)
+    for block in connection_on_hb(Context(pair, f, g)):
+        assert block.model.classes.rank == block.dim()
+        for i, b in enumerate(block.basis):
+            unit = [int(j == i) for j in range(block.dim())]
+            assert block._coordinates(
+                block.model.class_reduce({b: 1})) == unit
 
 
 def test_degenerate_base_point_rejected():
