@@ -4,7 +4,8 @@ and the filtered hat-module variant with its stabilization certificate.
 Ring elements are sparse dicts keyed by lattice points.  One class,
 ``HatModel``, is the ideal model of a face: the graded Jacobian quotient
 is the hat model without its deformation term.  Its echelon basis gives
-dimensions and canonical representatives in one computation.
+dimensions and canonical representatives in one computation; a graded
+model proves its top levels zero without rows (see ``HatModel``).
 
 A ``Context`` is the one way to a per-face object: its methods
 ``quotient``, ``r1``, ``face_is_nondegenerate``, ``is_nondegenerate``,
@@ -209,6 +210,14 @@ class HatModel:
     of level <= D-1 and unit functionals mu_j, in one echelon;
     class_reduce gives canonical coset representatives inside the span
     of points of level <= D.
+
+    The graded model is built level by level (L_j [c] lies in level
+    deg c + 1).  A level k is proved zero, not eliminated, when
+    (R/I)_(k-1) = 0 and each point of level k is one of level k-1 plus
+    one of level 1: I is an ideal of the face's ring R, so R_(k-1) in I
+    gives R_1 R_(k-1) in I, which holds every point of level k.  Its
+    generators get None pivots, its dims entry is 0 and class_reduce
+    drops its terms.  Certification so skips the levels above dim.
     """
 
     def __init__(self, face, g, D, deformed=True):
@@ -221,28 +230,52 @@ class HatModel:
                        for k in range(D + 1)]
         self.points = [p for level in self.levels for p in level]
         self.ideal = Echelon()
+        self.zero_levels = set()
         # one new pivot or None per generator, in build order
-        self.pivots = [self.ideal.insert(vec) if vec else None
-                       for _, _, vec in self._generators()]
-        # L_j [c] lies in level deg c + 1: pivots count the ideal per level
-        rank = Counter(dot(p, self.lam) for p in self.ideal.pivot_columns())
-        self.dims = {k: len(level) - rank[k]
-                     for k, level in enumerate(self.levels)}
+        self.pivots = []
+        rank = Counter()
+
+        def dim(k):
+            return 0 if k in self.zero_levels else \
+                len(self.levels[k]) - rank[k]
+
+        for k in range(1, D + 1):
+            if not deformed and dim(k - 1) == 0 and self._covered(k):
+                self.zero_levels.add(k)
+                self.pivots += [None] * (face.dim * len(self.levels[k - 1]))
+                continue
+            for _, _, vec in self._generators(self.levels[k - 1:k]):
+                p = self.ideal.insert(vec) if vec else None
+                self.pivots.append(p)
+                if p is not None:
+                    rank[dot(p, self.lam)] += 1
+        self.dims = {k: dim(k) for k in range(D + 1)}
         self._level_data = None
 
-    def _generators(self):
-        """(c, j, mu_j.[c]) by level of c, then c, then j."""
+    def _covered(self, k):
+        """Each point of level k is one of level k-1 plus one of level 1."""
+        below = set(self.levels[k - 1])
+        return all(any(tuple(a - b for a, b in zip(x, n)) in below
+                       for n in self.levels[1])
+                   for x in self.levels[k])
+
+    def _generators(self, levels=None):
+        """(c, j, mu_j.[c]) by level of c, then c, then j, for c in the
+        given levels (default: every level below D)."""
         weights = [elem.items()
                    for elem in log_derivative_elements(self.face, self.g)]
         mus = [tuple(int(i == j) for i in range(self.face.dim))
                if self.deformed else None for j in range(self.face.dim)]
-        for level in self.levels[:self.D]:
-            for c in level:
+        for points in self.levels[:self.D] if levels is None else levels:
+            for c in points:
                 for j, mu in enumerate(mus):
                     yield c, j, _hat_action_vec(self.face, weights[j], mu,
                                                 {c: 1})
 
     def class_reduce(self, vec):
+        if self.zero_levels:
+            vec = {p: v for p, v in vec.items()
+                   if dot(p, self.lam) not in self.zero_levels}
         rem, _ = self.ideal.reduce(vec)
         return rem
 
@@ -261,7 +294,11 @@ class HatModel:
         A generator that is dependent at g while the class of its
         derivative is not zero means the rank of the ideal jumps at g:
         there is no derivative, and DegenerateCoefficients is raised.
+        A graded model is refused (ValueError): the generators it skips
+        would read as such a jump.
         """
+        if not self.deformed:
+            raise ValueError("row_derivatives needs a deformed model")
         on_face = set(_delta_in_face(self.face, self.g))
         coords = {n: span_coords(self.face, n)
                   for n in directions if n in on_face}

@@ -38,48 +38,50 @@ def v_basis(pair, grading, bound, n_cap=None):
     grading "dhat": value = 2<m,deg_dual> + |S| up to bound; requires an
     n-degree cap (InfinitePiece otherwise), points with <deg,n> <= n_cap.
     """
-    r = pair.rank
-    wedges = [S for ell in range(r + 1) for S in combinations(range(r), ell)]
-    top, dual_top = pair.poset().top, pair.dual_poset().top
-    out = {}
-    if grading == "d":
-        pts_m = [points_at_degree(top, a, pair.deg_dual)
-                 for a in range(bound + 1)]
-        pts_n = [points_at_degree(dual_top, b, pair.deg)
-                 for b in range(bound + 1)]
-        for k in range(bound + 1):
-            elems = []
-            for a in range(k + 1):
-                for m in pts_m[a]:
-                    for n in pts_n[k - a]:
-                        if dot(m, n) == 0:
-                            elems.extend((m, n, S) for S in wedges)
-            out[k] = sorted(elems)
-        return out
     if grading == "dhat":
         if n_cap is None:
             raise InfinitePiece(
                 "d-hat graded pieces are infinite without an n-degree cap")
-        pts_m = [points_at_degree(top, a, pair.deg_dual)
-                 for a in range(bound // 2 + 1)]
-        pts_n = [points_at_degree(dual_top, b, pair.deg)
-                 for b in range(n_cap + 1)]
-        for gv in range(bound + 1):
-            elems = []
-            for a in range(gv // 2 + 1):
-                ell = gv - 2 * a
-                if ell > r:
-                    continue
-                level_wedges = list(combinations(range(r), ell))
-                for m in pts_m[a]:
-                    for pts in pts_n:
-                        for n in pts:
-                            if dot(m, n) == 0:
-                                elems.extend(
-                                    (m, n, S) for S in level_wedges)
-            out[gv] = sorted(elems)
-        return out
-    raise ValueError("grading must be 'd' or 'dhat'")
+        return {gv: _dhat_piece(pair, gv, n_cap) for gv in range(bound + 1)}
+    if grading != "d":
+        raise ValueError("grading must be 'd' or 'dhat'")
+    r = pair.rank
+    wedges = [S for ell in range(r + 1) for S in combinations(range(r), ell)]
+    top, dual_top = pair.poset().top, pair.dual_poset().top
+    pts_m = [points_at_degree(top, a, pair.deg_dual)
+             for a in range(bound + 1)]
+    pts_n = [points_at_degree(dual_top, b, pair.deg)
+             for b in range(bound + 1)]
+    out = {}
+    for k in range(bound + 1):
+        elems = []
+        for a in range(k + 1):
+            for m in pts_m[a]:
+                for n in pts_n[k - a]:
+                    if dot(m, n) == 0:
+                        elems.extend((m, n, S) for S in wedges)
+        out[k] = sorted(elems)
+    return out
+
+
+def _dhat_piece(pair, gv, n_cap):
+    """The d-hat grading gv with n-degree <= n_cap, sorted: the piece
+    v_basis(pair, "dhat", bound, n_cap)[gv], without the other gradings."""
+    r = pair.rank
+    top, dual_top = pair.poset().top, pair.dual_poset().top
+    pts_n = [n for b in range(n_cap + 1)
+             for n in points_at_degree(dual_top, b, pair.deg)]
+    elems = []
+    for a in range(gv // 2 + 1):
+        ell = gv - 2 * a
+        if ell > r:
+            continue
+        level_wedges = list(combinations(range(r), ell))
+        for m in points_at_degree(top, a, pair.deg_dual):
+            for n in pts_n:
+                if dot(m, n) == 0:
+                    elems.extend((m, n, S) for S in level_wedges)
+    return sorted(elems)
 
 
 def _contract(mvec, S):
@@ -221,7 +223,7 @@ def cohomology_dhat(ctx, D=6, p_max=8):
     pair, f, g = ctx.pair, ctx.f, ctx.g
     # keyed (gv, cap): basis vectors of n-degree <= cap; d_hat raises the
     # n-degree by at most one, so the pivots of (gv-1, cap-1) lie there
-    cx = Complex(lambda gv, cap: v_basis(pair, "dhat", gv, n_cap=cap)[gv],
+    cx = Complex(lambda gv, cap: _dhat_piece(pair, gv, cap),
                  lambda e: dhat_column(pair, f, g, e),
                  lambda gv, cap: (gv - 1, cap - 1) if gv and cap else None)
     dims = {}

@@ -205,8 +205,8 @@ def exact_pivots(rows):
 
     Fraction-free: rows are scaled to primitive integer rows, elimination
     uses cross multiples followed by content reduction.  Pivot rule: the
-    column held by fewest rows, then the sparsest row in it
-    (Markowitz-lite).
+    column held by fewest rows, then the smallest such column, then the
+    sparsest row in it (Markowitz-lite).
     """
     mat = {}
     for r in rows:
@@ -217,26 +217,27 @@ def exact_pivots(rows):
     for i, r in mat.items():
         for c in r:
             colrows[c].add(i)
+    # columns by row count, the column of fewest rows first; a row changes
+    # only on the columns of the pivot row, which move between buckets
+    buckets = defaultdict(set)
+    for c, held in colrows.items():
+        buckets[len(held)].add(c)
     pivots = []
     while mat:
-        c = min(colrows, key=lambda cc: (len(colrows[cc]), cc))
-        cands = colrows[c]
-        pi = min(cands, key=lambda i: (len(mat[i]), i))
+        c = min(buckets[min(n for n, cols in buckets.items() if cols)])
+        pi = min(colrows[c], key=lambda i: (len(mat[i]), i))
         prow = mat.pop(pi)
         for cc in prow:
+            buckets[len(colrows[cc])].discard(cc)
             colrows[cc].discard(pi)
-            if not colrows[cc]:
-                del colrows[cc]
         pivots.append(c)
-        for i in list(colrows.get(c, ())):
+        for i in list(colrows[c]):
             row = mat[i]
             a, b = _cross(prow[c], row[c])
             new, = _divide_content([_combine(a, row, b, prow)])
             for j in row:
                 if j not in new:
                     colrows[j].discard(i)
-                    if not colrows[j]:
-                        del colrows[j]
             for j in new:
                 if j not in row:
                     colrows[j].add(i)
@@ -244,6 +245,11 @@ def exact_pivots(rows):
                 mat[i] = new
             else:
                 del mat[i]
+        for cc in prow:
+            if colrows[cc]:
+                buckets[len(colrows[cc])].add(cc)
+            else:
+                del colrows[cc]
     return pivots
 
 

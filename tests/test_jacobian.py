@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 from stringykit.errors import DegenerateCoefficients
-from stringykit.jacobian import (Context, HatModel, HatModuleElement,
-                                 coefficient_function, hat_action,
-                                 log_derivative_elements, random_coefficients)
-from stringykit.lattice import (cone_over_polytope, make_gorenstein_pair,
-                                points_at_degree, span_coords)
-from stringykit.linalg import Echelon
+from stringykit.jacobian import (CoefficientFunction, Context, HatModel,
+                                 HatModuleElement, coefficient_function,
+                                 hat_action, log_derivative_elements,
+                                 random_coefficients)
+from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
+                                make_gorenstein_pair, padd, points_at_degree,
+                                span_coords)
+from stringykit.linalg import Echelon, exact_rank
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
 
@@ -44,10 +46,11 @@ def dense_rank_oracle(vectors, points):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pv = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
                 f = rows[i][col] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                rows[i] = [a - f * b if b else a
+                           for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 
@@ -127,6 +130,71 @@ def test_quotient_dims_zero_function_gives_hilbert():
     q = Context().quotient(top, f)
     for k in range(6):
         assert q.dims[k] == len(points_at_degree(top, k, pair.deg_dual))
+
+
+# the cones of the corpus jobs and of the benchmark's polar pairs
+JOB_CONES = {
+    "p2_triangle": lambda: cone_over_polytope(P2),
+    "r1_ray": lambda: cone_from_rays([(1,)]),
+    "segment": lambda: cone_over_polytope([(-1,), (1,)]),
+    "square": lambda: cone_over_polytope([(1, 0), (0, 1), (-1, 0), (0, -1)]),
+    "polar_p2": lambda: cone_over_polytope([(-1, -1), (2, -1), (-1, 2)]),
+    "polar_square": lambda: cone_over_polytope(
+        [(-1, -1), (1, -1), (1, 1), (-1, 1)]),
+}
+
+
+def job_context(name):
+    """The pair's context at the jobs' coefficients, random:seed=1 and 2."""
+    pair = make_gorenstein_pair(JOB_CONES[name]())
+    ctx = Context(pair)
+    ctx.set_coefficients(random_coefficients(pair, "f", 1, ctx),
+                         random_coefficients(pair, "g", 2, ctx))
+    return ctx
+
+
+@pytest.mark.parametrize("name", sorted(JOB_CONES))
+def test_lattice_step_against_elimination(name):
+    ctx = job_context(name)
+    for poset, fn in ((ctx.pair.poset(), ctx.f),
+                      (ctx.pair.dual_poset(), ctx.g)):
+        for face in poset:
+            q = ctx.quotient(face, fn)
+            gens = log_derivative_elements(face, fn)
+            for k in q.zero_levels:
+                rows = [{padd(m, c): v for m, v in gen.items()}
+                        for c in q.levels[k - 1] for gen in gens]
+                assert exact_rank(rows) == len(q.levels[k]), (face, k)
+            assert q.dims == shifted_dense_dims(face, gens, fn.lam, q.D)
+            if name == "polar_p2" and face is poset.top:
+                assert {face.dim + 1, face.dim + 2} <= q.zero_levels
+
+
+def test_lattice_step_falls_back_on_an_uncovered_point():
+    # the cone over the Reeve tetrahedron with r = 2: its level-one points
+    # are the four vertices, and (1, 1, 1, 2) is no sum of two of them
+    cone = cone_over_polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)])
+    lam = (0, 0, 0, 1)
+    top = FacePoset(cone).top
+    ones = points_at_degree(top, 1, lam)
+    assert ones == [(0, 0, 0, 1), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 2, 1)]
+    fn = CoefficientFunction(cone, lam, tuple(zip(ones, (1, 2, -3, 5))))
+    q = HatModel(top, fn, top.dim + 2, deformed=False)
+    assert q.dims[1] == 0 and not q._covered(2)
+    assert (1, 1, 1, 2) in q.levels[2]
+    assert 2 not in q.zero_levels and q.dims[2] > 0
+    assert q.dims == shifted_dense_dims(
+        top, log_derivative_elements(top, fn), lam, q.D)
+
+
+def test_certification_ideal_rank_is_pinned():
+    # the rows of the graded models that certify f and g of the P2 corpus
+    # job; eliminating the levels above dim as well gave 576
+    ctx = job_context("p2_triangle")
+    assert sum(ctx.quotient(face, fn).ideal.rank
+               for poset, fn in ((ctx.pair.poset(), ctx.f),
+                                 (ctx.pair.dual_poset(), ctx.g))
+               for face in poset) == 155
 
 
 def test_r1_zero_face():
@@ -273,6 +341,16 @@ def test_row_derivatives_refuse_a_rank_jump():
     sigma = pair.dual_poset().top
     model = HatModel(sigma, g0, sigma.dim + 2)
     with pytest.raises(DegenerateCoefficients):
+        model.row_derivatives(sorted(pair.delta_dual()))
+
+
+def test_row_derivatives_refuse_a_graded_model():
+    pair = p2_pair()
+    g = random_coefficients(pair, "g", seed=2)
+    sigma = pair.dual_poset().top
+    model = HatModel(sigma, g, sigma.dim + 2, deformed=False)
+    assert model.zero_levels
+    with pytest.raises(ValueError, match="deformed"):
         model.row_derivatives(sorted(pair.delta_dual()))
 
 

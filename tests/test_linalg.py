@@ -6,7 +6,8 @@ from random import Random
 import pytest
 
 from stringykit.lattice import hnf_rows, integer_kernel
-from stringykit.linalg import (Complex, Echelon, exact_pivots, exact_rank,
+from stringykit.linalg import (Complex, Echelon, _combine, _cross,
+                               _divide_content, exact_pivots, exact_rank,
                                kernel_basis)
 
 
@@ -64,6 +65,47 @@ def test_exact_pivots_random_against_dense():
         on_pivots = [{i: r[c] for i, c in enumerate(pivots) if c in r}
                      for r in rows]
         assert dense_rank(on_pivots, len(pivots)) == len(pivots)
+
+
+def full_scan_pivots(rows):
+    """exact_pivots on int rows with the pivot column found by a scan over
+    every live column: the rule exact_pivots keeps with its count buckets."""
+    mat = {}
+    for r in rows:
+        rr, = _divide_content([r])
+        if rr:
+            mat[len(mat)] = rr
+    colrows = {}
+    for i, r in mat.items():
+        for c in r:
+            colrows.setdefault(c, set()).add(i)
+    pivots = []
+    while mat:
+        c = min(colrows, key=lambda cc: (len(colrows[cc]), cc))
+        pi = min(colrows[c], key=lambda i: (len(mat[i]), i))
+        prow = mat.pop(pi)
+        pivots.append(c)
+        for i in colrows[c] - {pi}:
+            a, b = _cross(prow[c], mat[i][c])
+            mat[i], = _divide_content([_combine(a, mat[i], b, prow)])
+            if not mat[i]:
+                del mat[i]
+        colrows = {}
+        for i, r in mat.items():
+            for cc in r:
+                colrows.setdefault(cc, set()).add(i)
+    return pivots
+
+
+def test_exact_pivots_buckets_keep_the_full_scan_rule():
+    rng = Random(31)
+    for trial in range(120):
+        nrows, ncols = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4))
+        rows = [{j: v for j in range(ncols) if rng.random() < density
+                 for v in (rng.randint(-3, 3),) if v}
+                for _ in range(nrows)]
+        assert exact_pivots(rows) == full_scan_pivots(rows), trial
 
 
 def random_complex(rng, ndims):
