@@ -10,7 +10,9 @@ model proves its top levels zero without rows (see ``HatModel``).
 A ``Context`` is the one way to a per-face object: its methods
 ``quotient``, ``r1``, ``face_is_nondegenerate``, ``is_nondegenerate``,
 ``hat_model``, ``r1_hat`` and ``certify`` build graded quotients, R1
-spaces, certified hat models and certificates once per job.  A caller
+spaces, certified hat models and certificates once per job, and ``fan``
+and ``sheaf_cohomology`` the job's fan and the cohomology of each of
+its minimal sheaves.  A caller
 without a job builds a throwaway ``Context()``.
 """
 
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from .errors import DegenerateCoefficients, StabilizationFailed
 from .lattice import dot, faces, padd, points_at_degree, span_coords
 from .linalg import Echelon, _add, rational, vec_add
+from .sheaves import FanSpace, _nonzero_cohomology
 
 MAX_RESAMPLE = 32
 
@@ -240,6 +243,8 @@ class HatModel:
                 len(self.levels[k]) - rank[k]
 
         for k in range(1, D + 1):
+            if deformed and k == D:
+                self._lower = (self.ideal.copy(), len(self.pivots))
             if not deformed and dim(k - 1) == 0 and self._covered(k):
                 self.zero_levels.add(k)
                 self.pivots += [None] * (face.dim * len(self.levels[k - 1]))
@@ -251,6 +256,27 @@ class HatModel:
                     rank[dot(p, self.lam)] += 1
         self.dims = {k: dim(k) for k in range(D + 1)}
         self._level_data = None
+
+    def lower(self):
+        """The deformed model at truncation D - 1, read off this build: up
+        to its last level the build inserts the generators of that model
+        in the same order, so the echelon it had there is that model's.
+        The echelon is held from the build until this first call."""
+        ideal, n = self._lower
+        self._lower = None
+        model = object.__new__(HatModel)
+        model.face, model.g, model.lam = self.face, self.g, self.lam
+        model.D, model.deformed = self.D - 1, True
+        model.levels = self.levels[:-1]
+        model.points = [p for level in model.levels for p in level]
+        model.ideal, model.zero_levels = ideal, set()
+        model.pivots = self.pivots[:n]
+        rank = Counter(dot(p, self.lam) for p in model.pivots
+                       if p is not None)
+        model.dims = {k: len(level) - rank[k]
+                      for k, level in enumerate(model.levels)}
+        model._level_data = None
+        return model
 
     def _covered(self, k):
         """Each point of level k is one of level k-1 plus one of level 1."""
@@ -352,7 +378,8 @@ class HatModel:
 
 class Context:
     """One job's state: the pair, its coefficient functions f and g, and
-    a memo of per-face objects keyed by (kind, face, function).
+    a memo of per-face objects keyed by (kind, face, function), of fans
+    keyed by cone and of sheaf cohomologies keyed by origin cell.
 
     ``set_coefficients`` is the one way to f and g: it certifies them,
     which come together or not at all, and only then sets them.
@@ -428,21 +455,37 @@ class Context:
 
     def hat_model(self, face, g):
         """The HatModel at truncation dim+2, certified against the graded
-        R1 (per filtration level) at truncations dim+2 and dim+1."""
+        R1 (per filtration level) at truncations dim+2 and dim+1; the
+        model at dim+1 is the one its build passed (``HatModel.lower``)."""
         def build():
             oracle = self.r1(face, g).dims_dict()
-            models = []
-            for D in (face.dim + 2, face.dim + 1):
-                model = HatModel(face, g, D)
+            model = HatModel(face, g, face.dim + 2)
+            for m in (model, model.lower()):
                 level_dims = {k: len(v)
-                              for k, v in model.interior_level_data() if v}
+                              for k, v in m.interior_level_data() if v}
                 if level_dims != oracle:
                     raise StabilizationFailed(
                         "hat dims %r at truncation %d do not match graded "
-                        "dims %r" % (level_dims, D, oracle))
-                models.append(model)
-            return models[0]
+                        "dims %r" % (level_dims, m.D, oracle))
+            return model
         return self._get(("hat", face, g), build)
+
+    def fan(self, cone):
+        """The FanSpace of a cone of the pair, one per job."""
+        return self._get(("fan", cone), lambda: FanSpace(cone))
+
+    def sheaf_cohomology(self, fan, origin, D):
+        """Nonzero dims of H(W tensor Lambda*N, d) for the sheaf of the
+        fan at origin, by (gr, s) with s <= D - 1; each origin is built
+        once per job at the largest D asked so far.  A request at D at
+        most the stored one reads the stored dims with s <= D - 1: the
+        build is degreewise, so W in total degree <= D is the same for
+        both truncations."""
+        got = self._memo.get(("sheaf", origin))
+        if D < 1 or got is None or got[0] < D:
+            got = self._memo[("sheaf", origin)] = (
+                D, _nonzero_cohomology(fan, origin, D))
+        return {k: d for k, d in got[1].items() if k[1] < D}
 
     def r1_hat(self, face, g):
         """Filtered interior image in the certified hat model."""

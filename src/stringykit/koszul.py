@@ -7,6 +7,17 @@ differential d is graded by <m, deg_dual> + <deg, n>; the deformed one
 d_hat by 2 <m, deg_dual> + |S|, whose graded pieces are finite only
 after capping the n-degree.
 
+Both complexes of the package have the form X tensor Lambda* N with
+
+    d = sum_i (iota_i (x) A_i  +  eps_i ^ (x) B_i),
+
+iota_i the contraction by the i-th coordinate and eps_i ^ the wedge with
+the i-th basis vector of N.  Here X = C[(K + K_dual)_0], A_i multiplies
+by sum_m f(m) m_i [m] and B_i by sum_n g(n) n_i [n]; d_hat adds to B_i
+the element's own n_i.  In ``sheaves`` X = W, A_i is the side-0 action
+of n_i and B_i the side-1 action of m_i.  So a column of (x, S) spreads
+the images of x, built once per x, over the slots of S (``_slots``).
+
 For d_hat cohomology the quotient complexes V/S_p alone stabilize to a
 wrong answer (formal exponential cocycles survive every cap), so the
 computed invariant is: kernel of the EXACT differential among vectors
@@ -24,11 +35,12 @@ it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import InfinitePiece, TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
-from .linalg import Complex, _add
+from .linalg import Complex
 
 
 def v_basis(pair, grading, bound, n_cap=None):
@@ -84,57 +96,70 @@ def _dhat_piece(pair, gv, n_cap):
     return sorted(elems)
 
 
-def _contract(mvec, S):
-    """Contraction of the wedge monomial S by the vector mvec, as
-    (sign * coefficient, S minus one index) terms."""
-    for pos, j in enumerate(S):
-        if mvec[j]:
-            yield ((-1) ** pos) * mvec[j], S[:pos] + S[pos + 1:]
+@lru_cache(maxsize=None)
+def _slots(S, r):
+    """The signed index slots of the wedge monomial S in rank r: its
+    contraction slots (sign, j, S minus j) over j in S, and its wedge
+    slots (sign, j, sorted S plus j) over the other j < r."""
+    contract = tuple(((-1) ** pos, j, S[:pos] + S[pos + 1:])
+                     for pos, j in enumerate(S))
+    wedge = tuple(((-1) ** sum(1 for i in S if i < j), j,
+                   tuple(sorted(S + (j,))))
+                  for j in range(r) if j not in S)
+    return contract, wedge
 
 
-def _wedge(nvec, S):
-    """Wedge of the vector nvec with the wedge monomial S, as
-    (sign * coefficient, sorted S plus one index) terms."""
-    for j in range(len(nvec)):
-        if j in S or not nvec[j]:
-            continue
-        pos = sum(1 for i in S if i < j)
-        yield ((-1) ** pos) * nvec[j], tuple(sorted(S + (j,)))
+def _columns(f, g, hat=False):
+    """d of one basis element at a time, d-hat when hat: the form
+    sum_i (iota_i (x) A_i + eps_i ^ (x) B_i) of the module docstring.
+
+    The products of an element's (m1, n1) with the points of f and g
+    are found once and spread over its wedge S by the contraction and
+    wedge signs.  Products violating <m, n> = 0 are zero by the quotient
+    relation.  A piece's basis is sorted by (m, n, S), so the products of
+    the last (m1, n1) are the one entry kept: every repeat inside a piece
+    reads them, and no product outlives the pieces that read it.
+    """
+    fpts = [(m, f(m)) for m in f.domain() if f(m)]
+    gpts = [(n, g(n)) for n in g.domain() if g(n)]
+    last = [None, None]
+
+    def column(elt):
+        m1, n1, S = elt
+        if last[0] != (m1, n1):
+            last[0] = (m1, n1)
+            last[1] = ([(m, fm, m2) for m, fm in fpts
+                        for m2 in (padd(m, m1),) if not dot(m2, n1)],
+                       [(n, gn, n2) for n, gn in gpts
+                        for n2 in (padd(n, n1),) if not dot(m1, n2)])
+        fprods, gprods = last[1]
+        contract, wedge = _slots(S, len(m1))
+        # the degree-one points are nonzero, so no two terms share a key
+        col = {}
+        for m, fm, m2 in fprods:
+            for sign, j, S2 in contract:
+                if m[j]:
+                    col[(m2, n1, S2)] = sign * m[j] * fm
+        for n, gn, n2 in gprods:
+            for sign, j, S2 in wedge:
+                if n[j]:
+                    col[(m1, n2, S2)] = sign * n[j] * gn
+        if hat:
+            for sign, j, S2 in wedge:
+                if n1[j]:
+                    col[(m1, n1, S2)] = sign * n1[j]
+        return col
+    return column
 
 
 def d_column(pair, f, g, elt):
-    """Image of a basis element under d = f-contraction + g-wedge;
-    products violating <m, n> = 0 are zero by the quotient relation."""
-    m1, n1, S = elt
-    col = {}
-    for m in f.domain():
-        fm = f(m)
-        if not fm:
-            continue
-        m2 = padd(m, m1)
-        if dot(m2, n1) != 0:
-            continue
-        for sign, S2 in _contract(m, S):
-            _add(col, (m2, n1, S2), sign * fm)
-    for n in g.domain():
-        gn = g(n)
-        if not gn:
-            continue
-        n2 = padd(n, n1)
-        if dot(m1, n2) != 0:
-            continue
-        for sign, S2 in _wedge(n, S):
-            _add(col, (m1, n2, S2), sign * gn)
-    return col
+    """Image of a basis element under d = f-contraction + g-wedge."""
+    return _columns(f, g)(elt)
 
 
 def dhat_column(pair, f, g, elt):
     """Image under d_hat = d + wedging by the element's own n-part."""
-    m1, n1, S = elt
-    col = d_column(pair, f, g, elt)
-    for sign, S2 in _wedge(n1, S):
-        _add(col, (m1, n1, S2), sign)
-    return col
+    return _columns(f, g, hat=True)(elt)
 
 
 def _tau_d(pair, elt):
@@ -168,7 +193,7 @@ def cohomology_d(ctx, D=6):
         for e in basis[k]:
             pieces.setdefault((k, _tau_d(pair, e)), []).append(e)
     cx = Complex(lambda k, tau: pieces.get((k, tau), ()),
-                 lambda e: d_column(pair, f, g, e),
+                 _columns(f, g),
                  lambda k, tau: (k - 1, tau) if k else None)
     ranks = dict.fromkeys(range(D), 0)
     dims = dict.fromkeys(range(D), 0)
@@ -224,7 +249,7 @@ def cohomology_dhat(ctx, D=6, p_max=8):
     # keyed (gv, cap): basis vectors of n-degree <= cap; d_hat raises the
     # n-degree by at most one, so the pivots of (gv-1, cap-1) lie there
     cx = Complex(lambda gv, cap: _dhat_piece(pair, gv, cap),
-                 lambda e: dhat_column(pair, f, g, e),
+                 _columns(f, g, hat=True),
                  lambda gv, cap: (gv - 1, cap - 1) if gv and cap else None)
     dims = {}
     stop_at = {}

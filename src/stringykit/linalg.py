@@ -157,6 +157,13 @@ class Echelon:
         self._shadows[c] = srow
         return c
 
+    def copy(self):
+        """An echelon with the same rows, grown on its own.  A row is
+        replaced, never changed in place, so the two share their rows."""
+        other = Echelon()
+        other._rows, other._shadows = dict(self._rows), dict(self._shadows)
+        return other
+
     def row(self, c):
         """The reduced row of pivot c, with a 1 at c."""
         return _over(self._rows[c], self._rows[c][c])
@@ -206,11 +213,16 @@ def exact_pivots(rows):
     Fraction-free: rows are scaled to primitive integer rows, elimination
     uses cross multiples followed by content reduction.  Pivot rule: the
     column held by fewest rows, then the smallest such column, then the
-    sparsest row in it (Markowitz-lite).
+    sparsest row in it (Markowitz-lite).  The columns are renumbered to
+    ints in sorted label order, which the rule reads and keeps.
     """
+    rows = list(rows)
+    labels = sorted({c for r in rows for c in r})
+    index = {c: i for i, c in enumerate(labels)}
     mat = {}
     for r in rows:
-        rr, = _divide_content(_clear_denominators([r])[1])
+        rr, = _divide_content(_clear_denominators(
+            [{index[c]: v for c, v in r.items()}])[1])
         if rr:
             mat[len(mat)] = rr
     colrows = defaultdict(set)
@@ -250,7 +262,7 @@ def exact_pivots(rows):
                 buckets[len(colrows[cc])].add(cc)
             else:
                 del colrows[cc]
-    return pivots
+    return [labels[c] for c in pivots]
 
 
 def exact_rank(rows):

@@ -7,8 +7,9 @@ clock timings are added only on request since they would break report
 determinism.
 
 A job runs in one ``jacobian.Context``: the pair, the certified f and g,
-and every per-face quotient, R1 space and certified hat model.  Every
-verifier reads it, or its ``swap()`` for the A side; none builds twice.
+every per-face quotient, R1 space and certified hat model, the fan and
+the cohomology of each minimal sheaf on it.  Every verifier reads it, or
+its ``swap()`` for the A side; none builds twice.
 """
 
 import json
@@ -24,7 +25,7 @@ from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
                      hb_assemble)
 from .lattice import (annihilator_face, cone_from_rays, cone_over_polytope,
                       make_gorenstein_pair)
-from .sheaves import FanSpace, verify_prop_maincoro, verify_theorem_key
+from .sheaves import verify_prop_maincoro, verify_theorem_key
 
 SCHEMA_VERSION = "1"
 VERIFICATION_NAMES = ("thm-key", "thm-main", "prop-maincoro", "bhiso",
@@ -231,7 +232,7 @@ def pair_summary(pair):
 
 
 def _verify_thm_key(ctx, job):
-    return verify_theorem_key(ctx.pair.cone, D=job.max_degree)
+    return verify_theorem_key(ctx.pair.cone, D=job.max_degree, ctx=ctx)
 
 
 def _verify_thm_main(ctx, job):
@@ -248,7 +249,7 @@ def _verify_thm_main(ctx, job):
 
 
 def _verify_prop_maincoro(ctx, job):
-    fan = FanSpace(ctx.pair.cone)
+    fan = ctx.fan(ctx.pair.cone)
     D = min(job.max_degree, 5)
     cases = []
     verdict = "pass"
@@ -257,7 +258,7 @@ def _verify_prop_maincoro(ctx, job):
         for sigma0 in fan.dual_poset:
             if not fan.dual_poset.leq(sigma0, tstar):
                 continue
-            rep = verify_prop_maincoro(fan, theta0, sigma0, D=D)
+            rep = verify_prop_maincoro(fan, theta0, sigma0, D=D, ctx=ctx)
             if rep["verdict"] != "pass":
                 verdict = "fail"
             cases.append({

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from stringykit import jacobian, sheaves
-from stringykit.errors import DegenerateCoefficients, StabilizationFailed
+from stringykit.errors import (DegenerateCoefficients, StabilizationFailed,
+                               TruncationTooSmall)
 from stringykit.gkz import connection_on_hb
 from stringykit.gpoly import g_polynomial
 from stringykit.jacobian import (Context, HatModel, coefficient_function,
@@ -23,7 +24,8 @@ from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
                                 make_gorenstein_pair)
 from stringykit.reporting import parse_input, render_report, run
-from stringykit.sheaves import (FanSpace, annihilator_face,
+from stringykit.sheaves import (BigradedComplex, FanSpace, MinimalSheaf,
+                                _nonzero_cohomology, annihilator_face,
                                 verify_prop_maincoro)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,3 +238,99 @@ def test_g_polynomials_not_shared_across_posets():
                    for a in poset for b in poset if poset.leq(a, b)}
             assert got == want
             del poset
+
+
+def _counting_builds(monkeypatch):
+    """Counters of MinimalSheaf builds and of HatModel builds by kind."""
+    builds = Counter()
+    sheaf_init, hat_init = MinimalSheaf.__init__, HatModel.__init__
+
+    def counting_sheaf(self, *args):
+        builds["sheaf"] += 1
+        sheaf_init(self, *args)
+
+    def counting_hat(self, face, fn, D, deformed=True):
+        builds["hat" if deformed else "quotient"] += 1
+        hat_init(self, face, fn, D, deformed)
+
+    monkeypatch.setattr(MinimalSheaf, "__init__", counting_sheaf)
+    monkeypatch.setattr(HatModel, "__init__", counting_hat)
+    return builds
+
+
+@pytest.mark.parametrize("poly", [P2, SQUARE], ids=["p2", "square"])
+def test_sheaf_cohomology_truncates_degreewise(poly):
+    """The zero-cell complex at D = 5 is the one at D = 6 below total
+    degree 5, block by block, zero blocks included."""
+    fan = FanSpace(cone_over_polytope(poly))
+    h5, h6 = (BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), D))
+              .cohomology() for D in (5, 6))
+    assert h5 and h5 == {k: d for k, d in h6.items() if k[1] <= 4}
+
+
+def test_context_builds_each_sheaf_once(monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    ctx = Context()
+    fan = ctx.fan(cone_over_polytope(SQUARE))
+    assert ctx.fan(cone_over_polytope(SQUARE)) is fan
+    for origin in fan.cells:
+        want = _nonzero_cohomology(fan, origin, 3)
+        assert ctx.sheaf_cohomology(fan, origin, 4) == \
+            _nonzero_cohomology(fan, origin, 4)
+        assert ctx.sheaf_cohomology(fan, origin, 3) == want
+    assert builds["sheaf"] == 3 * len(fan.cells)
+    # a request above the stored truncation builds again
+    origin = fan.cells[-1]
+    assert ctx.sheaf_cohomology(fan, origin, 5) == \
+        _nonzero_cohomology(fan, origin, 5)
+    assert builds["sheaf"] == 3 * len(fan.cells) + 2
+    assert any(_nonzero_cohomology(fan, o, 3) for o in fan.cells)
+    with pytest.raises(TruncationTooSmall):
+        ctx.sheaf_cohomology(fan, origin, 0)
+
+
+def test_sheaf_cohomology_reads_the_window_it_is_asked(monkeypatch):
+    built = []
+
+    def fake(fan, origin, D):
+        built.append(D)
+        return {(0, 0): 1, (1, D - 1): 2}
+
+    monkeypatch.setattr(jacobian, "_nonzero_cohomology", fake)
+    ctx = Context()
+    assert ctx.sheaf_cohomology(None, "origin", 6) == {(0, 0): 1, (1, 5): 2}
+    assert ctx.sheaf_cohomology(None, "origin", 5) == {(0, 0): 1}
+    assert ctx.sheaf_cohomology(None, "origin", 6) == {(0, 0): 1, (1, 5): 2}
+    assert ctx.sheaf_cohomology(None, "origin", 7) == {(0, 0): 1, (1, 6): 2}
+    assert built == [6, 7]
+
+
+def test_thm_key_and_prop_maincoro_in_any_order():
+    doc = json.loads((CORPUS / "p2_triangle.json").read_text())
+    sections = []
+    for verify in (["thm-key"], ["prop-maincoro"],
+                   ["thm-key", "prop-maincoro"],
+                   ["prop-maincoro", "thm-key"]):
+        report, code = run(parse_input(dict(doc, verify=verify)))
+        assert code == 0
+        sections.append(json.loads(render_report(report))["verifications"])
+    want = json.loads((CORPUS / "p2_triangle.report.json").read_text())
+    want = {n: want["verifications"][n] for n in ("thm-key", "prop-maincoro")}
+    assert sections[0] == {"thm-key": want["thm-key"]}
+    assert sections[1] == {"prop-maincoro": want["prop-maincoro"]}
+    assert sections[2] == sections[3] == want
+
+
+def test_complexes_job_work_is_pinned(monkeypatch):
+    """The P2 corpus job with the five complexes verifiers builds the
+    zero-cell sheaf once (thm-key at D = 6; prop-maincoro reads it at
+    D = 5) and one deformed hat model per face and side."""
+    builds = _counting_builds(monkeypatch)
+    names = ["thm-key", "thm-main", "prop-maincoro", "bhiso", "maingkz"]
+    doc = json.loads((CORPUS / "p2_triangle.json").read_text())
+    report, code = run(parse_input(dict(doc, verify=names)))
+    assert code == 0
+    want = json.loads((CORPUS / "p2_triangle.report.json").read_text())
+    assert json.loads(render_report(report))["verifications"] == \
+        {n: want["verifications"][n] for n in names}
+    assert builds == {"sheaf": 27, "hat": 16, "quotient": 16}

@@ -187,6 +187,29 @@ def test_lattice_step_falls_back_on_an_uncovered_point():
         top, log_derivative_elements(top, fn), lam, q.D)
 
 
+@pytest.mark.parametrize("name", sorted(JOB_CONES))
+def test_lower_model_is_a_fresh_build(name):
+    """The model at dim+1 read off the build at dim+2 is the model a
+    fresh build at dim+1 gives, on every face of both sides."""
+    ctx = job_context(name)
+    for poset, fn in ((ctx.pair.poset(), ctx.f),
+                      (ctx.pair.dual_poset(), ctx.g)):
+        for face in poset:
+            model = HatModel(face, fn, face.dim + 2)
+            low = model.lower()
+            fresh = HatModel(face, fn, face.dim + 1)
+            assert model._lower is None
+            assert low.D == fresh.D == face.dim + 1
+            assert low.ideal.basis_rows() == fresh.ideal.basis_rows()
+            assert [low.ideal.shadow(c) for c in low.ideal.pivot_columns()] \
+                == [fresh.ideal.shadow(c)
+                    for c in fresh.ideal.pivot_columns()]
+            assert low.pivots == fresh.pivots
+            assert (low.levels, low.points) == (fresh.levels, fresh.points)
+            assert low.dims == fresh.dims
+            assert low.interior_level_data() == fresh.interior_level_data()
+
+
 def test_certification_ideal_rank_is_pinned():
     # the rows of the graded models that certify f and g of the P2 corpus
     # job; eliminating the levels above dim as well gave 576

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stringykit import linalg
+from stringykit import koszul, linalg
 from stringykit.errors import (DegenerateCoefficients, InfinitePiece,
                                TruncationTooSmall)
 from stringykit.jacobian import (Context, coefficient_function,
@@ -82,6 +82,87 @@ def test_d_squared_zero():
                     for elt2, w in d_column(pair, f, g, elt).items():
                         acc[elt2] = acc.get(elt2, 0) + v * w
                 assert not any(acc.values())
+
+
+def _contract(mvec, S):
+    for pos, j in enumerate(S):
+        if mvec[j]:
+            yield ((-1) ** pos) * mvec[j], S[:pos] + S[pos + 1:]
+
+
+def _wedge(nvec, S):
+    for j in range(len(nvec)):
+        if j in S or not nvec[j]:
+            continue
+        pos = sum(1 for i in S if i < j)
+        yield ((-1) ** pos) * nvec[j], tuple(sorted(S + (j,)))
+
+
+def _add(vec, key, val):
+    nv = vec.get(key, 0) + val
+    if nv:
+        vec[key] = nv
+    else:
+        vec.pop(key, None)
+
+
+def oracle_d_column(f, g, elt):
+    """d of one element, every product computed for it alone."""
+    m1, n1, S = elt
+    col = {}
+    for m in f.domain():
+        m2 = tuple(a + b for a, b in zip(m, m1))
+        if f(m) and dot(m2, n1) == 0:
+            for sign, S2 in _contract(m, S):
+                _add(col, (m2, n1, S2), sign * f(m))
+    for n in g.domain():
+        n2 = tuple(a + b for a, b in zip(n, n1))
+        if g(n) and dot(m1, n2) == 0:
+            for sign, S2 in _wedge(n, S):
+                _add(col, (m1, n2, S2), sign * g(n))
+    return col
+
+
+def oracle_dhat_column(f, g, elt):
+    m1, n1, S = elt
+    col = oracle_d_column(f, g, elt)
+    for sign, S2 in _wedge(n1, S):
+        _add(col, (m1, n1, S2), sign)
+    return col
+
+
+def _typed(col):
+    return {key: (type(v), v) for key, v in col.items()}
+
+
+def test_columns_match_the_per_element_oracle():
+    """The column builders of cohomology_d and cohomology_dhat, read in
+    piece order as the engine reads them, give the oracle's column on
+    every element of the P2 d pieces (D = 6) and d-hat pieces (cap <= 4),
+    and so do d_column and dhat_column."""
+    pair = p2_pair()
+    f = random_coefficients(pair, "f", seed=1)
+    g = random_coefficients(pair, "g", seed=2)
+    pieces = {}
+    for k, elems in v_basis(pair, "d", 5).items():
+        for e in elems:
+            pieces.setdefault((k, koszul._tau_d(pair, e)), []).append(e)
+    column = koszul._columns(f, g)
+    for elems in pieces.values():
+        for e in elems:
+            want = _typed(oracle_d_column(f, g, e))
+            assert _typed(column(e)) == want, e
+            assert _typed(d_column(pair, f, g, e)) == want, e
+    column = koszul._columns(f, g, hat=True)
+    count = 0
+    for gv in range(2 * pair.rank + 1):
+        for cap in range(1, 5):
+            for e in koszul._dhat_piece(pair, gv, cap):
+                want = _typed(oracle_dhat_column(f, g, e))
+                assert _typed(column(e)) == want, e
+                assert _typed(dhat_column(pair, f, g, e)) == want, e
+                count += 1
+    assert sum(map(len, pieces.values())) == 5368 and count > 5000
 
 
 def test_d_zero_function():

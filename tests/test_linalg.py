@@ -106,6 +106,15 @@ def test_exact_pivots_buckets_keep_the_full_scan_rule():
                  for v in (rng.randint(-3, 3),) if v}
                 for _ in range(nrows)]
         assert exact_pivots(rows) == full_scan_pivots(rows), trial
+        # tuple labels, as the complexes give: an order-preserving relabel
+        # moves the pivots with it
+        lrng = Random(trial)
+        labels = sorted({(lrng.randint(-2, 2), (lrng.randint(0, 3),) *
+                          lrng.randint(0, 2), lrng.randint(0, 99))
+                         for _ in range(3 * ncols)})[:ncols]
+        trows = [{labels[j]: v for j, v in r.items()} for r in rows]
+        assert exact_pivots(trows) == full_scan_pivots(trows) == \
+            [labels[j] for j in full_scan_pivots(rows)], trial
 
 
 def random_complex(rng, ndims):

@@ -172,6 +172,103 @@ def test_dd_zero_and_grading_shift():
                     assert a2 - b2 + len(S2) == a - b + len(S)
 
 
+def oracle_mul_linear(sheaf, cell, side, coeffs, vec, a, b):
+    """Multiplication by a linear function, each product found alone."""
+    basis_src = sheaf.basis_at(cell, a, b)[0]
+    index_dst = sheaf.basis_at(cell, a + 1 - side, b + side)[1]
+    out = {}
+    for j, c in coeffs:
+        for i, val in vec.items():
+            um, vm, gi = basis_src[i]
+            if side == 0:
+                um = um[:j] + (um[j] + 1,) + um[j + 1:]
+            else:
+                vm = vm[:j] + (vm[j] + 1,) + vm[j + 1:]
+            key = index_dst[(um, vm, gi)]
+            out[key] = out.get(key, 0) + c * val
+    return {k: v for k, v in out.items() if v}
+
+
+def oracle_action(cx, side, i, a, b):
+    """Dense coordinate rows of the i-th function of a side on W_(a, b):
+    each basis row of W multiplied cell by cell."""
+    layout, ech = cx.space(a, b)
+    tgt_layout, tgt = cx.space(a + 1 - side, b + side)
+    rows = []
+    for row in ech.basis_rows():
+        out = {}
+        for (c, off, d), (_, off2, _) in zip(layout, tgt_layout):
+            comp = {k - off: v for k, v in row.items() if off <= k < off + d}
+            sb = (c.theta, c.sigma)[side].span_basis
+            coeffs = [(k, bv[i]) for k, bv in enumerate(sb) if bv[i]]
+            for t, v in oracle_mul_linear(cx.sheaf, c, side, coeffs, comp,
+                                          a, b).items():
+                out[off2 + t] = v
+        rows.append(tgt.coords(out))
+    return rows
+
+
+def oracle_d_column(cx, action, label):
+    """d of one label: per i, contraction by m_i with the side-0 action,
+    then wedge with n_i with the side-1 action, from dense rows."""
+    a, b, S, t = label
+    col = {}
+    for i in range(cx.r):
+        terms = []
+        if i in S:
+            pos = S.index(i)
+            terms.append((0, (-1) ** pos, S[:pos] + S[pos + 1:]))
+        else:
+            terms.append((1, (-1) ** sum(1 for j in S if j < i),
+                          tuple(sorted(S + (i,)))))
+        for side, sign, S2 in terms:
+            for t2, v in enumerate(action(side, i, a, b)[t]):
+                if v:
+                    key = (a + 1 - side, b + side, S2, t2)
+                    col[key] = col.get(key, 0) + sign * v
+    return {k: v for k, v in col.items() if v}
+
+
+@pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
+def test_columns_and_actions_match_the_per_row_oracle(poly):
+    fan = FanSpace(cone_over_polytope(poly))
+    D = 4
+    checked = 0
+    for origin in fan.cells:
+        cx = BigradedComplex(MinimalSheaf(fan, origin, D))
+        sheaf = cx.sheaf
+        for cell in sheaf.support:
+            for side, face in enumerate((cell.theta, cell.sigma)):
+                coeffs = [(j, j + 2) for j in range(face.dim)]
+                for a in range(D):
+                    for b in range(D - a):
+                        dim = sheaf.dim_at(cell, a, b)
+                        vec = {k: k - 3 for k in range(dim) if k != 3}
+                        assert sheaf.mul_linear(cell, side, coeffs, vec,
+                                                a, b) == oracle_mul_linear(
+                            sheaf, cell, side, coeffs, vec, a, b)
+        dense = {}
+
+        def action(side, i, a, b):
+            key = (side, i, a, b)
+            if key not in dense:
+                dense[key] = oracle_action(cx, side, i, a, b)
+                assert cx.action(*key) == [
+                    [(t2, v) for t2, v in enumerate(row) if v]
+                    for row in dense[key]], (origin, key)
+            return dense[key]
+        for s in range(D):
+            for gr in cx.gr_values(s):
+                for label in cx.block_basis(gr, s):
+                    want = oracle_d_column(cx, action, label)
+                    got = cx.d_column(label)
+                    assert got == want, (origin, label)
+                    assert {k: type(v) for k, v in got.items()} == \
+                        {k: type(v) for k, v in want.items()}
+                    checked += 1
+    assert checked > 1000
+
+
 @pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
 def test_block_pivots_keep_the_full_rank(poly):
     from stringykit.linalg import exact_rank
