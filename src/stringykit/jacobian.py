@@ -286,14 +286,17 @@ class HatModel:
                    for x in self.levels[k])
 
     def _generators(self, levels=None):
-        """(c, j, mu_j.[c]) by level of c, then c, then j, for c in the
-        given levels (default: every level below D)."""
+        """(c, j, mu_j.[c]) by level of c, then c descending, then j, for c
+        in the given levels (default: every level below D).  The leading
+        column of mu_j.[c] rises with c, so in this order a new pivot
+        mostly lies in no earlier row of the ideal, and inserting it
+        back-substitutes next to nothing."""
         weights = [elem.items()
                    for elem in log_derivative_elements(self.face, self.g)]
         mus = [tuple(int(i == j) for i in range(self.face.dim))
                if self.deformed else None for j in range(self.face.dim)]
         for points in self.levels[:self.D] if levels is None else levels:
-            for c in points:
+            for c in reversed(points):
                 for j, mu in enumerate(mus):
                     yield c, j, _hat_action_vec(self.face, weights[j], mu,
                                                 {c: 1})

@@ -20,6 +20,7 @@ primitive by dividing out its content.
   is read out.
 """
 
+from bisect import insort
 from collections import defaultdict
 from fractions import Fraction
 from itertools import chain
@@ -107,6 +108,11 @@ class Echelon:
     ``reduce`` returns the canonical representative of a coset, and the
     coordinates of a vector of the span are its entries at the pivot
     columns.
+
+    The rows depend on the span alone, so the order of insertion changes
+    the cost, never the result (the shadows follow the inserted vectors).
+    A vector whose pivot lies in no earlier row costs no back-substitution;
+    callers insert in an order that makes this common.
     """
 
     def __init__(self):
@@ -193,16 +199,29 @@ def kernel_basis(vectors):
     coordinates, whose ``basis_rows()`` are the canonical combos c with
     sum_i c[i]*v_i = 0.
 
-    Tracking shadows carry the combination of each dependent vector.
+    One echelon, without shadows, holds the constraints
+    sum_i c[i]*v_i[j] = 0, one per coordinate j, on the columns -i, so
+    that each pivot is the largest index its row can be solved for.  A
+    free index f gives the kernel row with c[f] = 1 and, for each pivot
+    -i, c[i] = minus the entry at -f of the reduced row of -i.  It is zero
+    at every other free index and its smallest index is f: these rows are
+    the kernel's reduced echelon.
     """
-    ech = Echelon()
-    kernel = Echelon()
+    constraints = defaultdict(dict)
     for i, v in enumerate(vectors):
-        rem, sh = ech.reduce(v, {i: 1})
-        if not rem:
-            kernel.insert(sh)
-        else:
-            ech.insert(rem, sh)
+        for j, x in v.items():
+            constraints[j][-i] = x
+    ech = Echelon()
+    for row in constraints.values():
+        ech.insert(row)
+    free = {f: {f: 1} for f in range(len(vectors)) if -f not in ech._rows}
+    for p in ech._rows:
+        for c, v in ech.row(p).items():
+            if c != p:
+                free[-c][-p] = -v
+    kernel = Echelon()
+    for vec in free.values():
+        kernel.insert(vec)
     return kernel
 
 
@@ -215,26 +234,46 @@ def exact_pivots(rows):
     column held by fewest rows, then the smallest such column, then the
     sparsest row in it (Markowitz-lite).  The columns are renumbered to
     ints in sorted label order, which the rule reads and keeps.
+
+    While some column is held by one row, the rule picks the smallest
+    such column and its one row, and nothing is eliminated: these steps
+    are peeled off first, with no arithmetic, and only the rows left are
+    scaled and go to the elimination loop.
     """
     rows = list(rows)
     labels = sorted({c for r in rows for c in r})
     index = {c: i for i, c in enumerate(labels)}
     mat = {}
     for r in rows:
-        rr, = _divide_content(_clear_denominators(
-            [{index[c]: v for c, v in r.items()}])[1])
+        rr = {index[c]: v for c, v in r.items() if v}
         if rr:
             mat[len(mat)] = rr
     colrows = defaultdict(set)
     for i, r in mat.items():
         for c in r:
             colrows[c].add(i)
-    # columns by row count, the column of fewest rows first; a row changes
-    # only on the columns of the pivot row, which move between buckets
+    pivots = []
+    # the columns held by one row, negated and sorted: pop() is the smallest
+    ones = sorted(-c for c, held in colrows.items() if len(held) == 1)
+    while ones:
+        c = -ones.pop()
+        if not colrows[c]:
+            continue        # its row went with an earlier pivot
+        pi, = colrows[c]
+        pivots.append(c)
+        for cc in mat.pop(pi):
+            colrows[cc].discard(pi)
+            if len(colrows[cc]) == 1:
+                insort(ones, -cc)
+    for i, r in mat.items():
+        mat[i], = _divide_content(_clear_denominators([r])[1])
+    # live columns by row count, the column of fewest rows first; a row
+    # changes only on the columns of the pivot row, which move between
+    # buckets
     buckets = defaultdict(set)
     for c, held in colrows.items():
-        buckets[len(held)].add(c)
-    pivots = []
+        if held:
+            buckets[len(held)].add(c)
     while mat:
         c = min(buckets[min(n for n, cols in buckets.items() if cols)])
         pi = min(colrows[c], key=lambda i: (len(mat[i]), i))

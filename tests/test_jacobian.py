@@ -210,6 +210,39 @@ def test_lower_model_is_a_fresh_build(name):
             assert low.interior_level_data() == fresh.interior_level_data()
 
 
+class AscendingHatModel(HatModel):
+    """The hat model with each level's points inserted in ascending
+    order: the same ideal at a higher cost, as the oracle of the order."""
+
+    def _generators(self, levels=None):
+        for points in self.levels[:self.D] if levels is None else levels:
+            for c in points:
+                yield from HatModel._generators(self, [[c]])
+
+
+@pytest.mark.parametrize("name", sorted(JOB_CONES))
+def test_build_order_changes_no_row(name):
+    """Each level's points inserted in descending order give the ideal
+    rows and the row derivatives of the ascending order, on every face of
+    both sides, deformed or graded."""
+    ctx = job_context(name)
+    reordered = 0
+    for poset, fn in ((ctx.pair.poset(), ctx.f),
+                      (ctx.pair.dual_poset(), ctx.g)):
+        for face in poset:
+            for deformed in (True, False):
+                model = HatModel(face, fn, face.dim + 2, deformed)
+                oracle = AscendingHatModel(face, fn, face.dim + 2, deformed)
+                reordered += [c for c, _, _ in model._generators()] != \
+                    [c for c, _, _ in oracle._generators()]
+                assert model.ideal._rows == oracle.ideal._rows
+                assert model.dims == oracle.dims
+                if deformed:
+                    assert model.row_derivatives(fn.domain()) == \
+                        oracle.row_derivatives(fn.domain())
+    assert reordered or name == "r1_ray"
+
+
 def test_certification_ideal_rank_is_pinned():
     # the rows of the graded models that certify f and g of the P2 corpus
     # job; eliminating the levels above dim as well gave 576
@@ -218,6 +251,24 @@ def test_certification_ideal_rank_is_pinned():
                for poset, fn in ((ctx.pair.poset(), ctx.f),
                                  (ctx.pair.dual_poset(), ctx.g))
                for face in poset) == 155
+
+
+def test_p3_certifies_f_and_g():
+    """The rank-4 pair over P3: both seeded coefficient functions pass the
+    certificate.  The g side's top face has 2,925 points at level 6; its
+    quotient is h* = (1, 31, 31, 1) and the levels above dim are proved
+    zero by the lattice-point step."""
+    pair = make_gorenstein_pair(cone_over_polytope(
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]))
+    ctx = Context(pair)
+    ctx.set_coefficients(random_coefficients(pair, "f", 1, ctx),
+                         random_coefficients(pair, "g", 2, ctx))
+    for poset, fn, hstar in ((pair.poset(), ctx.f, [1, 1, 1, 1]),
+                             (pair.dual_poset(), ctx.g, [1, 31, 31, 1])):
+        q = ctx.quotient(poset.top, fn)
+        assert [q.dims[k] for k in range(q.D + 1)] == hstar + [0, 0, 0]
+        assert q.zero_levels == {5, 6}
+    assert len(q.levels[6]) == 2925
 
 
 def test_r1_zero_face():

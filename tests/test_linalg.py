@@ -1,6 +1,7 @@
 """Exact sparse kernels: echelon, rank, kernels, integer lattice ops."""
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -115,6 +116,30 @@ def test_exact_pivots_buckets_keep_the_full_scan_rule():
         trows = [{labels[j]: v for j, v in r.items()} for r in rows]
         assert exact_pivots(trows) == full_scan_pivots(trows) == \
             [labels[j] for j in full_scan_pivots(rows)], trial
+    # chains of columns held by one row (each pivot row frees the next
+    # column), in front of a block that elimination must open up, with
+    # Fraction entries and empty or zero rows: the peel, the hand-over to
+    # the elimination loop and that loop's own one-row columns all run
+    for trial in range(60):
+        ncols = rng.randint(4, 30)
+        cols = rng.sample(range(ncols), ncols)
+        rows = []
+        for k in range(rng.randint(1, ncols // 2)):
+            row = {cols[k]: rng.choice((1, -2, 3))}
+            if rng.random() < 0.8:
+                row[cols[k + 1]] = rng.randint(1, 4)
+            rows.append(row)
+        for _ in range(rng.randint(0, 25)):
+            rows.append({j: Fraction(v, rng.randint(1, 4))
+                         for j in range(ncols) if rng.random() < 0.3
+                         for v in (rng.randint(-3, 3),) if v})
+        rows += [{}, {0: 0}, {1: Fraction(0), 2: 0}][:rng.randint(0, 3)]
+        rng.shuffle(rows)
+        # each row scaled to integers, zeros dropped: its pivots are the same
+        irows = [{j: v * lcm(*(Fraction(x).denominator for x in r.values()))
+                  for j, v in r.items() if v} for r in rows]
+        assert exact_pivots(rows) == full_scan_pivots(
+            [{j: int(v) for j, v in r.items()} for r in irows]), trial
 
 
 def random_complex(rng, ndims):
@@ -304,18 +329,83 @@ def test_echelon_against_dense_rref_oracle():
             assert ech.reduce(probe) == (rem, None)
 
 
+def two_echelon_kernel(vectors):
+    """The kernel echelon by a second route: each vector is reduced with
+    its index as shadow, an independent one inserted, and the shadow of a
+    dependent one inserted into the kernel."""
+    ech, kernel = Echelon(), Echelon()
+    for i, v in enumerate(vectors):
+        rem, sh = ech.reduce(v, {i: 1})
+        if not rem:
+            kernel.insert(sh)
+        else:
+            ech.insert(rem, sh)
+    return kernel
+
+
+def assert_kernel_is_the_oracle(vectors):
+    got, want = kernel_basis(vectors), two_echelon_kernel(vectors)
+    assert got._rows == want._rows
+    assert got._shadows == want._shadows
+    for combo in got.basis_rows():
+        acc = {}
+        for i, c in combo.items():
+            for j, x in vectors[i].items():
+                acc[j] = acc.get(j, 0) + c * x
+        assert not any(acc.values())
+
+
 def test_kernel_basis():
     # rows v0 + v1 = v2  -> one relation
     vs = [{0: Fraction(1)}, {1: Fraction(1)},
           {0: Fraction(1), 1: Fraction(1)}]
     combos = kernel_basis(vs).basis_rows()
-    assert len(combos) == 1
-    c = combos[0]
-    acc = {}
-    for i, v in enumerate(vs):
-        for j, x in v.items():
-            acc[j] = acc.get(j, 0) + c.get(i, 0) * x
-    assert not any(acc.values())
+    assert combos == [{0: 1, 1: 1, 2: -1}]
+    assert_kernel_is_the_oracle(vs)
+    assert kernel_basis([]).rank == 0
+    rng = Random(41)
+    for trial in range(150):
+        ncols, width = rng.randint(1, 14), rng.randint(1, 10)
+        vs = []
+        for _ in range(ncols):
+            kind = rng.random()
+            if kind < 0.1 or not vs:
+                # an empty column, or one whose entries are all zero
+                vs.append({} if kind < 0.05 else {0: 0, width: Fraction(0)})
+            elif kind < 0.35:
+                # a combination of earlier columns
+                vec = {}
+                for v in rng.sample(vs, min(len(vs), 2)):
+                    a = _random_scalar(rng) or 1
+                    for j, x in v.items():
+                        vec[j] = vec.get(j, 0) + a * x
+                vs.append(vec)
+            else:
+                vs.append({j: _random_scalar(rng) for j in range(width)
+                           if rng.random() < 0.4})
+        assert_kernel_is_the_oracle(vs)
+
+
+@pytest.mark.parametrize("poly", [[(1, 0), (0, 1), (-1, -1)],
+                                  [(1, 0), (0, 1), (-1, 0), (0, -1)]],
+                         ids=["p2", "square"])
+def test_kernel_basis_on_the_sheaf_sections(monkeypatch, poly):
+    """Every compatible-sections system of the fan's minimal sheaves at
+    D = 4 gives the oracle's kernel echelon."""
+    from stringykit import sheaves
+    from stringykit.lattice import cone_over_polytope
+    seen = []
+
+    def checked(vectors):
+        assert_kernel_is_the_oracle(vectors)
+        seen.append(len(vectors))
+        return kernel_basis(vectors)
+    monkeypatch.setattr(sheaves, "kernel_basis", checked)
+    fan = sheaves.FanSpace(cone_over_polytope(poly))
+    for origin in fan.cells:
+        sheaves.BigradedComplex(sheaves.MinimalSheaf(fan, origin, 4)) \
+            .cohomology()
+    assert len(seen) > 100 and max(seen) > 10
 
 
 def test_sparse_basis_coords():
