@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import add, mul
 
 from .errors import (DegeneratePolytope, NotFullDimensional, NotGorenstein,
                      NotPointed, UnboundedSlice)
@@ -18,11 +19,11 @@ from .linalg import exact_rank
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def padd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def primitive(v):

@@ -18,6 +18,10 @@ primitive by dividing out its content.
   kernel tracking, coordinate extraction and the derivative bookkeeping
   of the hat-module connection.  Rationals are built only when a value
   is read out.
+
+Most rows hold ints only, so the kernels take an int path where they can:
+``_clear_denominators`` folds ``lcm`` over the non-int entries alone and
+copies an all-int row without rescaling it.
 """
 
 from bisect import insort
@@ -56,8 +60,13 @@ def _add(vec, key, val):
 def _combine(a, vec, b, row):
     """a*vec - b*row as a new sparse dict, dropping zeros."""
     out = dict(vec) if a == 1 else {j: a * v for j, v in vec.items()}
+    get = out.get
     for j, v in row.items():
-        _add(out, j, -b * v)
+        nv = get(j, 0) - b * v
+        if nv:
+            out[j] = nv
+        else:
+            out.pop(j, None)
     return out
 
 
@@ -79,9 +88,13 @@ def _cross(p, v):
 def _clear_denominators(vecs):
     """(den, int vecs) with every vec scaled by den, the least common
     denominator of all their entries; zero entries are dropped."""
-    den = 1
+    den, ints = 1, True
     for v in chain.from_iterable(vec.values() for vec in vecs):
-        den = lcm(den, v.denominator)
+        if v.__class__ is not int:
+            ints = False
+            den = lcm(den, v.denominator)
+    if ints:
+        return 1, [{j: v for j, v in vec.items() if v} for vec in vecs]
     return den, [{j: v.numerator * (den // v.denominator)
                   for j, v in vec.items() if v} for vec in vecs]
 
@@ -205,7 +218,8 @@ def kernel_basis(vectors):
     free index f gives the kernel row with c[f] = 1 and, for each pivot
     -i, c[i] = minus the entry at -f of the reduced row of -i.  It is zero
     at every other free index and its smallest index is f: these rows are
-    the kernel's reduced echelon.
+    the kernel's reduced echelon, and are stored as they are, made
+    primitive.
     """
     constraints = defaultdict(dict)
     for i, v in enumerate(vectors):
@@ -220,8 +234,9 @@ def kernel_basis(vectors):
             if c != p:
                 free[-c][-p] = -v
     kernel = Echelon()
-    for vec in free.values():
-        kernel.insert(vec)
+    for f, vec in free.items():
+        kernel._rows[f], = _divide_content(_clear_denominators([vec])[1])
+        kernel._shadows[f] = {}
     return kernel
 
 

@@ -15,8 +15,10 @@ positive-degree multiples.  Everything is stored bigraded by
 degreewise exact below the truncation.  BigradedComplex(sheaf) is the one
 object for W tensor Lambda* N: it holds W in each bidegree as the one
 Echelon that ``kernel_basis`` returns for the agreement constraints over
-the maximal cells, and reads d's coordinates from it.  Its d has the
-X tensor Lambda* N form stated in the ``koszul`` module docstring.
+the maximal cells.  d checks each image against those constraints, whose
+kernel W is, and reads its coordinates at the echelon's pivot columns.
+Its d has the X tensor Lambda* N form stated in the ``koszul`` module
+docstring.
 """
 
 from dataclasses import dataclass
@@ -239,39 +241,45 @@ class MinimalSheaf:
                        None)
             if mid is None:
                 raise ValueError("no support facet between cells")
-            cols = self._restr_to_facet(cell, mid, a, b)
-            if mid is not face_cell:
+            if mid is face_cell:
+                cols = self._restr_to_facet(cell, mid, a, b)
+            else:
                 second = self.restr_cols(mid, face_cell, a, b)
-                chained = []
-                for col in cols:
+                cols = []
+                for col in self.restr_cols(cell, mid, a, b):
                     acc = {}
                     for l, v in col.items():
                         for t, w in second[l].items():
                             _add(acc, t, v * w)
-                    chained.append(acc)
-                cols = chained
+                    cols.append(acc)
         self._restr_cache[key] = cols
         return cols
 
     def _restr_to_facet(self, cell, facet, a, b):
+        """Restriction columns to a support facet.  A generator's column is
+        its lift; any other monomial's is the column of the monomial with
+        its last variable taken off (v before u, the highest index first),
+        one degree lower, times that variable's restriction.  This applies
+        the variables one at a time, u's then v's by index, as a product
+        from the lift would."""
         basis, _ = self.basis_at(cell, a, b)
-        urestr, vrestr = self.fan.restriction[(cell, facet)]
-        lifts = self.lifts[cell]
+        restr = self.fan.restriction[(cell, facet)]
         gdegs = self.gens[cell]
         cols = []
-        for (um, vm, gi) in basis:
+        for um, vm, gi in basis:
             p, q = gdegs[gi]
-            vec = dict(lifts[gi].get(facet, {}))
-            ca, cb = p, q
-            for j, e in enumerate(um):
-                for _ in range(e):
-                    vec = self.mul_linear(facet, 0, urestr[j], vec, ca, cb)
-                    ca += 1
-            for j, e in enumerate(vm):
-                for _ in range(e):
-                    vec = self.mul_linear(facet, 1, vrestr[j], vec, ca, cb)
-                    cb += 1
-            cols.append(vec)
+            if (a, b) == (p, q):
+                cols.append(dict(self.lifts[cell][gi].get(facet, {})))
+                continue
+            side, m = (1, vm) if b > q else (0, um)
+            j = max(k for k, e in enumerate(m) if e)
+            m = m[:j] + (m[j] - 1,) + m[j + 1:]
+            la, lb = a - 1 + side, b - side
+            low = (um, m, gi) if side else (m, vm, gi)
+            col = self.restr_cols(cell, facet, la, lb)[
+                self.basis_at(cell, la, lb)[1][low]]
+            cols.append(self.mul_linear(facet, side, restr[side][j], col,
+                                        la, lb))
         return cols
 
     # -- compatible families ------------------------------------------
@@ -285,12 +293,12 @@ class MinimalSheaf:
             off += d
         return layout, off
 
-    def compatible_sections(self, cells, a, b):
-        """(layout, Echelon) of the kernel of the pairwise-agreement
-        constraints over the cells."""
+    def agreement(self, cells, a, b):
+        """(layout, columns) of the pairwise-agreement constraints over the
+        cells: column k holds the constraints' entries at layout index k,
+        so the compatible families over the cells are the kernel of this
+        matrix, which ``kernel_basis`` returns."""
         layout, total = self.section_layout(cells, a, b)
-        if total == 0:
-            return layout, Echelon()
         columns = [dict() for _ in range(total)]
         rowkey = 0
         for i1 in range(len(cells)):
@@ -313,15 +321,16 @@ class MinimalSheaf:
                         columns[off2 + l][rowkey + t] = \
                             columns[off2 + l].get(rowkey + t, 0) - v
                 rowkey += dm
-        return layout, kernel_basis(columns)
+        return layout, columns
 
     def gamma_boundary(self, cell, a, b):
         key = (cell, a, b)
         got = self._gamma_cache.get(key)
         if got is None:
             facets = [f for f in self.fan.facets[cell] if f in self.support]
-            layout, ech = self.compatible_sections(facets, a, b)
-            got = self._gamma_cache[key] = (facets, layout, ech.basis_rows())
+            layout, columns = self.agreement(facets, a, b)
+            got = self._gamma_cache[key] = (
+                facets, layout, kernel_basis(columns).basis_rows())
         return got
 
     # -- construction --------------------------------------------------
@@ -342,9 +351,16 @@ class MinimalSheaf:
                     _, layout, gamma = self.gamma_boundary(cell, a, b)
                     if not gamma:
                         continue
+                    # the images lie in gamma: once they span it, no
+                    # image and no gamma vector can add a pivot
                     ech = Echelon()
-                    self._insert_positive_span(cell, layout, a, b, ech)
+                    for out in self._positive_images(cell, layout, a, b):
+                        if ech.rank == len(gamma):
+                            break
+                        ech.insert(out)
                     for vec in gamma:
+                        if ech.rank == len(gamma):
+                            break
                         piv = ech.insert(dict(vec))
                         if piv is None:
                             continue
@@ -356,7 +372,9 @@ class MinimalSheaf:
             # only the build of this cell reads its boundary families
             self._gamma_cache.clear()
 
-    def _insert_positive_span(self, cell, layout, a, b, ech):
+    def _positive_images(self, cell, layout, a, b):
+        """The families of degree one less times the cell's variables, one
+        image at a time, in the layout at (a, b)."""
         for side, da, db in ((0, a - 1, b), (1, a, b - 1)):
             if da < 0 or db < 0:
                 continue
@@ -368,9 +386,7 @@ class MinimalSheaf:
                     return self.fan.restriction[(cell, f)][side][j]
                 act = self.act(side, coeffs, low_layout, layout, da, db)
                 for vec in low_gamma:
-                    out = act(vec)
-                    if out:
-                        ech.insert(out)
+                    yield act(vec)
 
     @staticmethod
     def _split(layout, vec):
@@ -408,15 +424,20 @@ class BigradedComplex:
         self.D = sheaf.D
         self.maxcells = [c for c in sheaf.fan.maximal if c in sheaf.support]
         self._spaces = {}         # (a, b) -> (layout, Echelon)
-        self._mats = {}
+        self._constraints = {}    # (a, b) -> agreement columns of W
+        self._actions = {}        # (a, b) -> action rows by side, then i
 
     def space(self, a, b):
         """(layout, Echelon) of W in bidegree (a, b); the echelon's
-        ``basis_rows()`` are the basis, its ``coords`` the coordinates."""
+        ``basis_rows()`` are the basis.  A vector lies in W when the
+        agreement constraints vanish on it, and its coordinates are then
+        its entries at the echelon's pivot columns."""
         got = self._spaces.get((a, b))
         if got is None:
-            got = self._spaces[(a, b)] = self.sheaf.compatible_sections(
-                self.maxcells, a, b)
+            layout, columns = self.sheaf.agreement(self.maxcells, a, b)
+            ech = kernel_basis(columns)
+            got = self._spaces[(a, b)] = (layout, ech)
+            self._constraints[(a, b)] = columns
         return got
 
     def dim(self, a, b):
@@ -425,21 +446,42 @@ class BigradedComplex:
     def action(self, side, i, a, b):
         """Sparse rows [(t2, v), ...] of the i-th global function of a side
         on W_(a, b): side 0 is n_i on the theta spans, into W_(a+1, b);
-        side 1 is m_i on the sigma spans, into W_(a, b+1)."""
-        key = (side, i, a, b)
-        got = self._mats.get(key)
-        if got is None:
-            layout, ech = self.space(a, b)
-            tgt_layout, tgt = self.space(a + 1 - side, b + side)
+        side 1 is m_i on the sigma spans, into W_(a, b+1).  ValueError
+        when an image leaves W."""
+        return self._action_table(a, b)[side][i]
 
-            def fn(cell):
-                sb = (cell.theta, cell.sigma)[side].span_basis
-                return tuple((k, bv[i]) for k, bv in enumerate(sb) if bv[i])
-            act = self.sheaf.act(side, fn, layout, tgt_layout, a, b)
-            got = self._mats[key] = [
-                [(t2, v) for t2, v in enumerate(tgt.coords(act(row))) if v]
-                for row in ech.basis_rows()]
+    def _action_table(self, a, b):
+        """Every action on W_(a, b), by side and then i, built once."""
+        got = self._actions.get((a, b))
+        if got is None:
+            got = self._actions[(a, b)] = tuple(
+                tuple(self._action_rows(side, i, a, b) for i in range(self.r))
+                for side in (0, 1))
         return got
+
+    def _action_rows(self, side, i, a, b):
+        layout, ech = self.space(a, b)
+        ta, tb = a + 1 - side, b + side
+        tgt_layout, tgt = self.space(ta, tb)
+        columns, pivots = self._constraints[(ta, tb)], tgt.pivot_columns()
+
+        def fn(cell):
+            sb = (cell.theta, cell.sigma)[side].span_basis
+            return tuple((k, bv[i]) for k, bv in enumerate(sb) if bv[i])
+        act = self.sheaf.act(side, fn, layout, tgt_layout, a, b)
+        rows = []
+        for row in ech.basis_rows():
+            out = act(row)
+            check = {}
+            get = check.get
+            for k, v in out.items():
+                for j, w in columns[k].items():
+                    check[j] = get(j, 0) + v * w
+            if any(check.values()):
+                raise ValueError("vector not in span")
+            rows.append([(t2, out[c]) for t2, c in enumerate(pivots)
+                         if c in out])
+        return rows
 
     def block_basis(self, gr, s):
         """Basis labels (a, b, S, t) with a+b = s, a-b+|S| = gr."""
@@ -462,11 +504,13 @@ class BigradedComplex:
         form of the ``koszul`` module docstring with X = W, so per slot i
         of S the side-0 action of n_i, per other i the side-1 one of m_i."""
         a, b, S, t = label
+        table = self._action_table(a, b)
         col = {}
         for side, slots in enumerate(_slots(S, self.r)):
+            rows = table[side]
             for sign, i, S2 in slots:
                 key = (a + 1 - side, b + side, S2)
-                for t2, v in self.action(side, i, a, b)[t]:
+                for t2, v in rows[i][t]:
                     col[key + (t2,)] = sign * v
         return col
 

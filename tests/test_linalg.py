@@ -1,13 +1,14 @@
 """Exact sparse kernels: echelon, rank, kernels, integer lattice ops."""
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 import pytest
 
 from stringykit.lattice import hnf_rows, integer_kernel
-from stringykit.linalg import (Complex, Echelon, _combine, _cross,
+from stringykit.linalg import (Complex, Echelon, _add,
+                               _clear_denominators, _combine, _cross,
                                _divide_content, exact_pivots, exact_rank,
                                kernel_basis)
 
@@ -347,12 +348,89 @@ def assert_kernel_is_the_oracle(vectors):
     got, want = kernel_basis(vectors), two_echelon_kernel(vectors)
     assert got._rows == want._rows
     assert got._shadows == want._shadows
+    assert got.basis_rows() == want.basis_rows()
+    for c, row in got._rows.items():
+        # stored as a reduced echelon row: primitive, over int, positive
+        # at its pivot, which is its smallest index
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1 and row[c] > 0 and min(row) == c
     for combo in got.basis_rows():
         acc = {}
         for i, c in combo.items():
             for j, x in vectors[i].items():
                 acc[j] = acc.get(j, 0) + c * x
         assert not any(acc.values())
+
+
+def general_clear_denominators(vecs):
+    """_clear_denominators with every entry on the rational path."""
+    den = 1
+    for vec in vecs:
+        for v in vec.values():
+            den = lcm(den, v.denominator)
+    return den, [{j: v.numerator * (den // v.denominator)
+                  for j, v in vec.items() if v} for vec in vecs]
+
+
+def general_combine(a, vec, b, row):
+    """_combine with each entry added by ``_add``."""
+    out = dict(vec) if a == 1 else {j: a * v for j, v in vec.items()}
+    for j, v in row.items():
+        _add(out, j, -b * v)
+    return out
+
+
+def _kernel_inputs(rng):
+    """Rows of every kind the fast paths split on: all int, with
+    Fractions, with Fraction(n, 1), with zero entries, empty."""
+    yield {0: 3, 2: -5, 7: 1}
+    yield {1: Fraction(1, 2), 3: Fraction(-2, 3), 4: 6}
+    yield {0: Fraction(4), 1: 2, 5: Fraction(-9, 1)}
+    yield {0: 0, 1: 5, 2: Fraction(0), 3: Fraction(3, 4)}
+    yield {0: 0, 3: 0}
+    yield {}
+    for _ in range(200):
+        kind = rng.randrange(4)
+        vec = {}
+        for j in range(rng.randint(0, 8)):
+            v = rng.randint(-6, 6)
+            if kind == 1:
+                v = Fraction(v, rng.randint(1, 5))
+            elif kind == 2:
+                v = Fraction(v)
+            elif kind == 3:
+                v = _random_scalar(rng)
+            vec[rng.randrange(10)] = v
+        yield vec
+
+
+def _types(vec):
+    return {j: type(v) for j, v in vec.items()}
+
+
+def test_clear_denominators_and_combine_match_the_general_path():
+    rng = Random(53)
+    vecs = list(_kernel_inputs(rng))
+    for i, vec in enumerate(vecs):
+        for pair in ((vec,), (vec, vecs[i - 1]), (vec, {}), ({}, vec)):
+            den, got = _clear_denominators(pair)
+            wden, want = general_clear_denominators(pair)
+            assert den == wden and got == want
+            assert all(type(v) is int for g in got for v in g.values())
+            assert all(g is not p for g, p in zip(got, pair))
+    cancelled = 0
+    for i, vec in enumerate(vecs):
+        other = vecs[(7 * i) % len(vecs)]
+        for a, b, row in ((1, 1, other), (1, -2, other), (3, 5, other),
+                          (-4, Fraction(1, 3), other),
+                          # rows that cancel: a*vec == b*(a/b)*vec
+                          (2, 1, {j: 2 * v for j, v in vec.items()}),
+                          (1, 3, {j: v / 3 for j, v in vec.items()})):
+            got, want = _combine(a, vec, b, row), general_combine(
+                a, vec, b, row)
+            assert got == want and _types(got) == _types(want)
+            cancelled += not got and any(vec.values())
+    assert cancelled > 100
 
 
 def test_kernel_basis():

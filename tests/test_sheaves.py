@@ -5,6 +5,7 @@ import pytest
 from stringykit.errors import TruncationTooSmall
 from stringykit.lattice import (cone_from_rays, cone_over_polytope, dot,
                                 points_at_degree, make_gorenstein_pair)
+from stringykit.linalg import Echelon, vec_add
 from stringykit.sheaves import (BigradedComplex, Cell, FanSpace,
                                 MinimalSheaf, annihilator_face,
                                 verify_prop_maincoro, verify_theorem_key)
@@ -267,6 +268,152 @@ def test_columns_and_actions_match_the_per_row_oracle(poly):
                         {k: type(v) for k, v in want.items()}
                     checked += 1
     assert checked > 1000
+
+
+def oracle_restr_to_facet(sheaf, cell, facet, a, b):
+    """Restriction columns to a facet from scratch: each monomial's
+    variables applied to its generator's lift one at a time, the u's and
+    then the v's, by index."""
+    urestr, vrestr = sheaf.fan.restriction[(cell, facet)]
+    cols = []
+    for um, vm, gi in sheaf.basis_at(cell, a, b)[0]:
+        ca, cb = sheaf.gens[cell][gi]
+        vec = dict(sheaf.lifts[cell][gi].get(facet, {}))
+        for side, m, restr in ((0, um, urestr), (1, vm, vrestr)):
+            for j, e in enumerate(m):
+                for _ in range(e):
+                    vec = sheaf.mul_linear(facet, side, restr[j], vec, ca, cb)
+                    ca, cb = ca + 1 - side, cb + side
+        cols.append(vec)
+    return cols
+
+
+def _types(cols):
+    return [{k: type(v) for k, v in col.items()} for col in cols]
+
+
+@pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
+def test_restrictions_match_the_from_scratch_oracle(poly):
+    fan = FanSpace(cone_over_polytope(poly))
+    D = 4
+    checked = raised = 0
+    for origin in fan.cells:
+        sheaf = MinimalSheaf(fan, origin, D)
+        for cell in sheaf.support:
+            for facet in fan.facets[cell]:
+                if facet not in sheaf.support:
+                    continue
+                for a in range(D + 1):
+                    for b in range(D + 1 - a):
+                        got = sheaf._restr_to_facet(cell, facet, a, b)
+                        want = oracle_restr_to_facet(sheaf, cell, facet,
+                                                     a, b)
+                        assert got == want, (origin, cell, facet, a, b)
+                        assert _types(got) == _types(want)
+                        checked += len(got)
+                        raised += sum(1 for c in got
+                                      if (a, b) != (0, 0) and c)
+    assert checked > 1000 and raised > 500
+
+
+class FullInsertSheaf(MinimalSheaf):
+    """The build that inserts every image and every gamma vector."""
+
+    def _build(self):
+        for cell in self.fan.cells:
+            if cell not in self.support:
+                continue
+            if cell is self.origin:
+                self.gens[cell] = ((0, 0),)
+                self.lifts[cell] = [{}]
+                continue
+            gens, lifts = [], []
+            for s in range(self.D + 1):
+                for a in range(s + 1):
+                    _, layout, gamma = self.gamma_boundary(cell, a, s - a)
+                    if not gamma:
+                        continue
+                    ech = Echelon()
+                    for out in self._positive_images(cell, layout, a, s - a):
+                        ech.insert(out)
+                    for vec in gamma:
+                        piv = ech.insert(dict(vec))
+                        if piv is not None:
+                            gens.append((a, s - a))
+                            lifts.append(self._split(layout, ech.row(piv)))
+            self.gens[cell] = tuple(gens)
+            self.lifts[cell] = lifts
+            self._gamma_cache.clear()
+
+
+@pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
+def test_build_early_stop_keeps_generators_and_lifts(monkeypatch, poly):
+    fan = FanSpace(cone_over_polytope(poly))
+    inserts = []
+    real = Echelon.insert
+
+    def counted(self, vec, shadow=None):
+        inserts[-1] += 1
+        return real(self, vec, shadow)
+    monkeypatch.setattr(Echelon, "insert", counted)
+    for origin in fan.cells:
+        sheaves = []
+        for cls in (MinimalSheaf, FullInsertSheaf):
+            inserts.append(0)
+            sheaves.append(cls(fan, origin, 4))
+        got, want = sheaves
+        assert set(got.gens) == set(want.gens) == got.support
+        for cell in got.support:
+            assert got.gens[cell] == want.gens[cell], (origin, cell)
+            assert got.lifts[cell] == want.lifts[cell], (origin, cell)
+            assert [{f: _types([v]) for f, v in lift.items()}
+                    for lift in got.lifts[cell]] == \
+                [{f: _types([v]) for f, v in lift.items()}
+                 for lift in want.lifts[cell]]
+    early, full = sum(inserts[0::2]), sum(inserts[1::2])
+    assert early < full
+
+
+def test_action_rejects_an_image_outside_w(monkeypatch):
+    fan = FanSpace(cone_over_polytope(P2))
+    cx = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), 4))
+    a, b = 1, 1
+    assert cx.dim(a, b)
+    cx.space(a + 1, b)
+    columns = cx._constraints[(a + 1, b)]
+    # the unit vector at k breaks an agreement constraint
+    k = next(k for k, col in enumerate(columns) if col)
+    real = MinimalSheaf.act
+
+    def act(self, *args):
+        apply = real(self, *args)
+        return lambda vec: vec_add(apply(vec), {k: 1})
+    monkeypatch.setattr(MinimalSheaf, "act", act)
+    with pytest.raises(ValueError):
+        cx.action(0, 0, a, b)
+
+
+def test_actions_reduce_no_vector(monkeypatch):
+    fan = FanSpace(cone_over_polytope(P2))
+    D = 5
+    cx = BigradedComplex(MinimalSheaf(fan, fan.zero_cell(), D))
+    for s in range(D + 1):
+        for a in range(s + 1):
+            cx.space(a, s - a)
+    calls = []
+    real = Echelon._reduce
+
+    def counted(self, vec, shadow):
+        calls.append(1)
+        return real(self, vec, shadow)
+    monkeypatch.setattr(Echelon, "_reduce", counted)
+    rows = 0
+    for s in range(D):
+        for a in range(s + 1):
+            for side in (0, 1):
+                for i in range(cx.r):
+                    rows += len(cx.action(side, i, a, s - a))
+    assert rows > 100 and not calls
 
 
 @pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
