@@ -8,14 +8,13 @@ desk-scale examples, entirely in rational arithmetic.
 """
 
 from .gkz import connection_data, connection_on_hb, curvature_report
-from .gpoly import g_polynomial, ih_dims, verify_degree_bounds
+from .gpoly import g_polynomial, ih_dims
 from .jacobian import (CoefficientFunction, Context, coefficient_function,
-                       hat_action, log_derivative_elements,
-                       random_coefficients)
-from .koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
-                     decomposition_dims, hb_assemble, v_basis)
+                       log_derivative_elements, random_coefficients)
+from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
+                     hb_assemble, v_basis)
 from .lattice import (Cone, Face, FacePoset, GorensteinPair, cone_from_rays,
-                      cone_over_polytope, dual_cone, dual_face, faces,
+                      cone_over_polytope, dual_cone, dual_face,
                       make_gorenstein_pair, points_at_degree)
 from .sheaves import FanSpace, verify_prop_maincoro, verify_theorem_key
 
@@ -24,11 +23,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientFunction", "Cone", "Context", "Face", "FacePoset", "FanSpace",
     "GorensteinPair", "coefficient_function", "cohomology_d",
-    "cohomology_dhat", "cohomology_ha", "cone_from_rays", "cone_over_polytope",
+    "cohomology_dhat", "cone_from_rays", "cone_over_polytope",
     "connection_data", "connection_on_hb", "curvature_report",
-    "decomposition_dims", "dual_cone", "dual_face", "faces",
-    "g_polynomial", "hat_action", "hb_assemble", "ih_dims",
-    "log_derivative_elements", "make_gorenstein_pair", "points_at_degree",
-    "random_coefficients", "v_basis",
-    "verify_degree_bounds", "verify_prop_maincoro", "verify_theorem_key",
+    "decomposition_dims", "dual_cone", "dual_face", "g_polynomial",
+    "hb_assemble", "ih_dims", "log_derivative_elements",
+    "make_gorenstein_pair", "points_at_degree", "random_coefficients",
+    "v_basis", "verify_prop_maincoro", "verify_theorem_key",
 ]

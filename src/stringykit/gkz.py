@@ -23,7 +23,7 @@ when it was made, so a job builds each one once.
 
 from .errors import DegenerateCoefficients, TruncationTooSmall
 from .jacobian import Context, _delta_in_face
-from .lattice import dot, dual_face, faces, padd
+from .lattice import FacePoset, dot, dual_face, padd
 from .linalg import vec_add
 
 
@@ -103,7 +103,7 @@ def connection_data(sigma, g0):
     """The block of one face at g0, after certifying g0 on every face
     of sigma; raises DegenerateCoefficients when g0 fails."""
     ctx = Context()
-    poset = faces(sigma.cone)
+    poset = FacePoset(sigma.cone)
     for sub in poset:
         if poset.leq(sub, sigma) and not ctx.face_is_nondegenerate(sub, g0):
             raise DegenerateCoefficients(

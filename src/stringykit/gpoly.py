@@ -124,7 +124,7 @@ def _h_sum(poset, bottom, top, memo):
     d = top.dim - bottom.dim - 1
     h = IntPolynomial()
     for x in poset.interval(bottom, top):
-        if x is not top:
+        if x != top:
             h = h + _g_recursion(poset, bottom, x, memo) * \
                 _t_minus_1_power(d - (x.dim - bottom.dim))
     return h
@@ -150,35 +150,3 @@ def ih_dims(poset, face):
     absolute = tuple(sorted(g.coeffs.items()))
     relative = tuple(sorted((face.dim - e, c) for e, c in g.coeffs.items()))
     return IHDims(absolute, relative)
-
-
-def degree_bounds_ok(dim, dims):
-    """Support bounds: absolute in [0, dim/2], relative in [dim/2, dim],
-    both strict at the half-point when dim > 0."""
-    for e, c in dims.absolute:
-        if c <= 0:
-            return False
-        if e < 0 or 2 * e > dim or (dim > 0 and 2 * e == dim):
-            return False
-    for e, c in dims.relative:
-        if c <= 0:
-            return False
-        if e > dim or 2 * e < dim or (dim > 0 and 2 * e == dim):
-            return False
-    return True
-
-
-def verify_degree_bounds(pair):
-    """Check the IH support bounds on every face of both cones."""
-    checked = 0
-    failures = []
-    for poset in (pair.poset(), pair.dual_poset()):
-        for face in poset:
-            checked += 1
-            if not degree_bounds_ok(face.dim, ih_dims(poset, face)):
-                side = "primal" if poset.cone == pair.cone else "dual"
-                failures.append({"side": side, "face": list(face.key()),
-                                 "dim": face.dim})
-    return {"verdict": "pass" if not failures else "fail",
-            "faces_checked": checked,
-            "failures": failures}

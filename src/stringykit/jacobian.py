@@ -12,8 +12,9 @@ A ``Context`` is the one way to a per-face object: its methods
 ``hat_model``, ``r1_hat`` and ``certify`` build graded quotients, R1
 spaces, certified hat models and certificates once per job, and ``fan``
 and ``sheaf_cohomology`` the job's fan and the cohomology of each of
-its minimal sheaves.  A caller
-without a job builds a throwaway ``Context()``.
+its minimal sheaves.  A caller without a job builds a throwaway
+``Context()``; ``is_nondegenerate`` and ``certify`` need a pair, whose
+face posets they read.
 """
 
 import random
@@ -21,8 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DegenerateCoefficients, StabilizationFailed
-from .lattice import dot, faces, padd, points_at_degree, span_coords
-from .linalg import Echelon, _add, rational, vec_add
+from .lattice import dot, padd, points_at_degree, span_coords
+from .linalg import Echelon, _add, rational
 from .sheaves import FanSpace, _nonzero_cohomology
 
 MAX_RESAMPLE = 32
@@ -159,20 +160,6 @@ def _hilbert_numerator(counts, d):
     return out
 
 
-@dataclass(frozen=True)
-class HatModuleElement:
-    """Finite rational combination of hat-monomials supported on a face."""
-    face: object
-    coeffs: tuple             # sorted ((point, value), ...)
-
-    def mapping(self):
-        return dict(self.coeffs)
-
-    @classmethod
-    def monomial(cls, face, point, value=1):
-        return cls(face, ((tuple(point), rational(value)),))
-
-
 def _hat_action_vec(face, weights, mu, vec):
     """mu . vec for the deformed module structure, as sparse dicts.
 
@@ -192,17 +179,6 @@ def _hat_action_vec(face, weights, mu, vec):
             if w:
                 _add(out, padd(n, c), w)
     return out
-
-
-def hat_action(face, g, mu, v):
-    """Action of the linear functional mu (coordinates in the span basis)
-    on a hat-module element."""
-    mu = tuple(mu)
-    weights = {}
-    for a, elem in zip(mu, log_derivative_elements(face, g)):
-        weights = vec_add(weights, elem, a)
-    vec = _hat_action_vec(face, weights.items(), mu, v.mapping())
-    return HatModuleElement(face, tuple(sorted(vec.items())))
 
 
 class HatModel:
@@ -446,10 +422,15 @@ class Context:
         return [q.dims[k] for k in range(q.D + 1)] == numer + [0, 0]
 
     def is_nondegenerate(self, fn):
-        """Nondegeneracy of a coefficient function: every face of its
-        cone passes the Artinian/Hilbert-series certificate."""
+        """Nondegeneracy of a coefficient function on a cone of this
+        context's pair: every face of its cone passes the
+        Artinian/Hilbert-series certificate."""
+        pair = self.pair
+        if fn.cone not in (pair.cone, pair.dual):
+            raise ValueError("coefficient function is not on this pair")
+        poset = pair.poset() if fn.cone == pair.cone else pair.dual_poset()
         ok = self._get(("nondegenerate", fn), lambda: all(
-            self.face_is_nondegenerate(face, fn) for face in faces(fn.cone)))
+            self.face_is_nondegenerate(face, fn) for face in poset))
         if not ok:
             for key in [k for k in self._memo
                         if k[0] == "quotient" and k[2] == fn]:

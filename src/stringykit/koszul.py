@@ -31,7 +31,9 @@ columns of each piece by the pivots of the piece before it.
 The job-level entry points take one ``jacobian.Context``, whose f and g
 were certified when it was made; the assemblies read R1 and R1-hat from
 it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
-(``v_basis`` and the columns) take explicit data and certify nothing.
+(``v_basis`` and ``_columns``) take explicit data and certify nothing.
+The A-side cohomology is ``cohomology_dhat`` of the swapped context
+(``Context.swap``): one differential, one sign convention.
 """
 
 from dataclasses import dataclass
@@ -152,16 +154,6 @@ def _columns(f, g, hat=False):
     return column
 
 
-def d_column(pair, f, g, elt):
-    """Image of a basis element under d = f-contraction + g-wedge."""
-    return _columns(f, g)(elt)
-
-
-def dhat_column(pair, f, g, elt):
-    """Image under d_hat = d + wedging by the element's own n-part."""
-    return _columns(f, g, hat=True)(elt)
-
-
 def _tau_d(pair, elt):
     m, n, S = elt
     return dot(m, pair.deg_dual) - dot(pair.deg, n) + len(S)
@@ -278,16 +270,6 @@ def cohomology_dhat(ctx, D=6, p_max=8):
                             window={"max_hat_grading": D,
                                     "p_max": p_max,
                                     "stabilized_at": stop_at}, flags=flags)
-
-
-def cohomology_ha(ctx, D=None, p_max=8):
-    """The A-space by delegation: H_A of (f, g) is H_B of the swapped
-    pair with the coefficient roles exchanged.  No second differential
-    implementation exists on purpose (one sign convention, one code
-    path)."""
-    if D is None:
-        D = 2 * ctx.pair.rank
-    return cohomology_dhat(ctx.swap(), D=D, p_max=p_max)
 
 
 def hb_assemble(ctx):

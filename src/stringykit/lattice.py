@@ -5,10 +5,13 @@ pointed; everything lower-dimensional lives as a Face of its owner cone,
 identified by the set of facets it saturates.  Facet enumeration is the
 double description method seeded from a simplicial subcone, which is
 plenty at desk scale (rank <= 6, a few dozen rays).
+
+A GorensteinPair holds the FacePosets of its two cones, built once by
+``make_gorenstein_pair``; no poset is cached at module level, and faces
+of two posets of one cone are equal by value, not by identity.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
 from operator import add, mul
@@ -350,12 +353,6 @@ def interval_is_eulerian(poset, bottom, top):
     return True
 
 
-@lru_cache(maxsize=None)
-def faces(cone):
-    """The face poset of a cone (cached: cones are immutable)."""
-    return FacePoset(cone)
-
-
 def _solve_height_one(rays):
     """Integral x with <ray, x> = 1 for all rays, or None.
 
@@ -372,18 +369,20 @@ def _solve_height_one(rays):
 
 @dataclass(frozen=True)
 class GorensteinPair:
-    """Dual reflexive Gorenstein cones with their degree elements."""
+    """Dual reflexive Gorenstein cones with their degree elements and
+    face posets; the posets take no part in equality or hashing."""
     cone: Cone
     dual: Cone
     deg: tuple
     deg_dual: tuple
     rank: int
+    posets: tuple = field(compare=False, repr=False)
 
     def poset(self):
-        return faces(self.cone)
+        return self.posets[0]
 
     def dual_poset(self):
-        return faces(self.dual)
+        return self.posets[1]
 
     def delta(self):
         """Degree-one points of K (the support of f)."""
@@ -394,7 +393,7 @@ class GorensteinPair:
 
     def swap(self):
         return GorensteinPair(self.dual, self.cone, self.deg_dual, self.deg,
-                              self.rank)
+                              self.rank, self.posets[::-1])
 
 
 def make_gorenstein_pair(K):
@@ -411,7 +410,8 @@ def make_gorenstein_pair(K):
     if deg is None:
         raise NotGorenstein("rays of the dual cone admit no integral "
                             "height-one functional")
-    return GorensteinPair(K, Kd, deg, deg_dual, K.ambient_rank)
+    return GorensteinPair(K, Kd, deg, deg_dual, K.ambient_rank,
+                          (FacePoset(K), FacePoset(Kd)))
 
 
 def annihilator_face(face, dual_poset):

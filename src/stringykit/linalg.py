@@ -198,13 +198,6 @@ class Echelon:
     def pivot_columns(self):
         return sorted(self._rows)
 
-    def coords(self, vec):
-        """Coordinates of vec in ``basis_rows()``: its entries at the
-        pivot columns; ValueError when vec is outside the span."""
-        if self._reduce(vec, None)[1]:
-            raise ValueError("vector not in span")
-        return [vec.get(c, 0) for c in self.pivot_columns()]
-
 
 def kernel_basis(vectors):
     """Kernel of the matrix whose ROWS are the given vectors' coordinates

@@ -232,7 +232,7 @@ def pair_summary(pair):
 
 
 def _verify_thm_key(ctx, job):
-    return verify_theorem_key(ctx.pair.cone, D=job.max_degree, ctx=ctx)
+    return verify_theorem_key(ctx, ctx.pair.cone, D=job.max_degree)
 
 
 def _verify_thm_main(ctx, job):
@@ -258,7 +258,7 @@ def _verify_prop_maincoro(ctx, job):
         for sigma0 in fan.dual_poset:
             if not fan.dual_poset.leq(sigma0, tstar):
                 continue
-            rep = verify_prop_maincoro(fan, theta0, sigma0, D=D, ctx=ctx)
+            rep = verify_prop_maincoro(ctx, fan, theta0, sigma0, D=D)
             if rep["verdict"] != "pass":
                 verdict = "fail"
             cases.append({

@@ -19,6 +19,10 @@ the maximal cells.  d checks each image against those constraints, whose
 kernel W is, and reads its coordinates at the echelon's pivot columns.
 Its d has the X tensor Lambda* N form stated in the ``koszul`` module
 docstring.
+
+A FanSpace builds its own face posets.  The verifiers take a
+``jacobian.Context`` (``Context()`` without a job) and read the fan and
+each sheaf's cohomology through it; this module never imports jacobian.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from itertools import combinations
 from .errors import TruncationTooSmall
 from .gpoly import ih_dims
 from .koszul import _slots
-from .lattice import annihilator_face, dual_cone, faces, span_coords
+from .lattice import FacePoset, annihilator_face, dual_cone, span_coords
 from .linalg import Complex, Echelon, _add, kernel_basis
 
 
@@ -70,8 +74,8 @@ class FanSpace:
     def __init__(self, cone):
         self.cone = cone
         self.dual = dual_cone(cone)
-        self.poset = faces(self.cone)
-        self.dual_poset = faces(self.dual)
+        self.poset = FacePoset(self.cone)
+        self.dual_poset = FacePoset(self.dual)
         self.rank = cone.ambient_rank
         cells = []
         for theta in self.poset:
@@ -551,21 +555,15 @@ def _nonzero_cohomology(fan, origin, D):
     return {k: d for k, d in h.items() if d}
 
 
-def _cohomology(fan, origin, D, ctx):
-    if ctx is None:
-        return _nonzero_cohomology(fan, origin, D)
-    return ctx.sheaf_cohomology(fan, origin, D)
-
-
-def verify_theorem_key(cone, D=6, ctx=None):
+def verify_theorem_key(ctx, cone, D=6):
     """Vanishing of H(W tensor Lambda*N, d) for the sheaf at the zero cell,
-    in every bidegree with deg_x + deg_y <= D - 1.  With a job's context
-    the fan and the cohomology are the job's (``Context.fan``,
+    in every bidegree with deg_x + deg_y <= D - 1.  The fan and the
+    cohomology are the context's (``Context.fan``,
     ``Context.sheaf_cohomology``)."""
     if cone.ambient_rank == 0:
         raise ValueError("rank must be positive")
-    fan = FanSpace(cone) if ctx is None else ctx.fan(cone)
-    nonzero = _cohomology(fan, fan.zero_cell(), D, ctx)
+    fan = ctx.fan(cone)
+    nonzero = ctx.sheaf_cohomology(fan, fan.zero_cell(), D)
     return {
         "verdict": "pass" if not nonzero else "fail",
         "window": {"max_total_degree": D - 1},
@@ -574,14 +572,13 @@ def verify_theorem_key(cone, D=6, ctx=None):
     }
 
 
-def verify_prop_maincoro(fan, theta0, sigma0, D=6, ctx=None):
+def verify_prop_maincoro(ctx, fan, theta0, sigma0, D=6):
     """Cohomology of the sheaf of the FanSpace fan originating at
     (theta0, sigma0): zero when sigma0 is strictly below theta0*, one
     class in Lambda-degree dim theta0* at bidegree (0,0) when
     sigma0 = theta0*.  ValueError when (theta0, sigma0) is not a cell.
-    With a job's context the cohomology is read as in
-    ``verify_theorem_key``."""
-    nonzero = _cohomology(fan, fan.cell(theta0, sigma0), D, ctx)
+    The cohomology is read as in ``verify_theorem_key``."""
+    nonzero = ctx.sheaf_cohomology(fan, fan.cell(theta0, sigma0), D)
     tstar = annihilator_face(theta0, fan.dual_poset)
     full = (sigma0.key() == tstar.key())
     report = {

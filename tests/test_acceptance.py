@@ -10,11 +10,10 @@ from pathlib import Path
 
 from stringykit.gkz import connection_on_hb, curvature_report
 from stringykit.jacobian import Context, random_coefficients
-from stringykit.koszul import (cohomology_d, cohomology_dhat, d_column,
-                               decomposition_dims, dhat_column, hb_assemble,
-                               v_basis)
-from stringykit.lattice import (cone_from_rays, cone_over_polytope,
-                                dual_cone, dual_face, faces,
+from stringykit.koszul import (_columns, cohomology_d, cohomology_dhat,
+                               decomposition_dims, hb_assemble, v_basis)
+from stringykit.lattice import (FacePoset, cone_from_rays,
+                                cone_over_polytope, dual_cone, dual_face,
                                 make_gorenstein_pair)
 from stringykit.gpoly import g_polynomial
 from stringykit.reporting import parse_input, render_report, run
@@ -53,7 +52,7 @@ def test_criterion_1_theorem_key_vanishing():
         "cone over square": cone_over_polytope(SQUARE),
     }
     for label, cone in cones.items():
-        report = verify_theorem_key(cone, D=6)
+        report = verify_theorem_key(Context(), cone, D=6)
         assert report["verdict"] == "pass", (label, report)
         assert report["window"]["max_total_degree"] == 5
     _report("1 (Theorem key vanishing, deg_x+deg_y <= 5, exact)", t0)
@@ -69,7 +68,8 @@ def test_criterion_2_prop_maincoro():
             for sigma0 in fan.dual_poset:
                 if not fan.dual_poset.leq(sigma0, tstar):
                     continue
-                rep = verify_prop_maincoro(fan, theta0, sigma0, D=5)
+                rep = verify_prop_maincoro(Context(), fan, theta0, sigma0,
+                                           D=5)
                 assert rep["verdict"] == "pass", (theta0, sigma0, rep)
                 if sigma0.key() == tstar.key():
                     assert rep["computed_lambda_degree"] == tstar.dim
@@ -168,20 +168,21 @@ def test_criterion_7_structural_suites():
     pair = pairs["segment"]
     f = random_coefficients(pair, "f", seed=3)
     g = random_coefficients(pair, "g", seed=4)
+    d, dhat = _columns(f, g), _columns(f, g, hat=True)
     basis = v_basis(pair, "d", 3)
     for k in range(3):
-        for col in (d_column(pair, f, g, e) for e in basis[k]):
+        for col in (d(e) for e in basis[k]):
             acc = {}
             for elt, v in col.items():
-                for elt2, w in d_column(pair, f, g, elt).items():
+                for elt2, w in d(elt).items():
                     acc[elt2] = acc.get(elt2, 0) + v * w
             assert not any(acc.values())
     hat_basis = v_basis(pair, "dhat", 3, n_cap=4)
     for gv in range(4):
-        for col in (dhat_column(pair, f, g, e) for e in hat_basis[gv]):
+        for col in (dhat(e) for e in hat_basis[gv]):
             acc = {}
             for elt, v in col.items():
-                for elt2, w in dhat_column(pair, f, g, elt).items():
+                for elt2, w in dhat(elt).items():
                     acc[elt2] = acc.get(elt2, 0) + v * w
             assert not any(acc.values())
 
@@ -199,11 +200,11 @@ def test_criterion_7_structural_suites():
         assert pair.dual_poset().is_eulerian()
 
     # g-polynomial oracles
-    sq = faces(cone_over_polytope(SQUARE))
+    sq = FacePoset(cone_over_polytope(SQUARE))
     assert g_polynomial(sq, sq.zero, sq.top).coeffs == {0: 1, 1: 1}
-    pent = faces(cone_over_polytope(PENTAGON))
+    pent = FacePoset(cone_over_polytope(PENTAGON))
     assert g_polynomial(pent, pent.zero, pent.top).coeffs == {0: 1, 1: 2}
-    simp = faces(cone_from_rays(SIMPLEX_R3))
+    simp = FacePoset(cone_from_rays(SIMPLEX_R3))
     assert g_polynomial(simp, simp.zero, simp.top).coeffs == {0: 1}
 
     # minimal-sheaf generator degrees match the g-polynomial coefficients

@@ -12,15 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from stringykit import jacobian, sheaves
+from stringykit import jacobian, reporting, sheaves
 from stringykit.errors import (DegenerateCoefficients, StabilizationFailed,
                                TruncationTooSmall)
 from stringykit.gkz import connection_on_hb
 from stringykit.gpoly import g_polynomial
 from stringykit.jacobian import (Context, HatModel, coefficient_function,
                                  random_coefficients)
-from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
-                               hb_assemble)
+from stringykit.koszul import cohomology_d, cohomology_dhat, hb_assemble
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
                                 make_gorenstein_pair)
 from stringykit.reporting import parse_input, render_report, run
@@ -94,6 +93,31 @@ def test_jobs_in_one_process_match_separate_processes(tmp_path):
         assert out_path.read_text() == expected
 
 
+def test_no_face_poset_outlives_its_job(monkeypatch):
+    """Two corpus jobs on different cones in one process: once their
+    reports are dropped, the face posets of the first job's pair are
+    gone.  The module-level caches that stay, ``koszul._slots`` and
+    ``sheaves._monomials``, are keyed by wedge tuples and small ints,
+    bounded by the rank, and hold no object of a job."""
+    posets = []
+    build_pair = reporting._build_pair
+
+    def recording(job):
+        pair = build_pair(job)
+        posets.append([weakref.ref(pair.poset()),
+                       weakref.ref(pair.dual_poset())])
+        return pair
+
+    monkeypatch.setattr(reporting, "_build_pair", recording)
+    reports = [run(parse_input(json.loads((CORPUS / name).read_text())))
+               for name in ("segment.json", "square.json")]
+    assert [code for _, code in reports] == [0, 0]
+    del reports
+    gc.collect()
+    assert len(posets) == 2
+    assert [ref() for ref in posets[0]] == [None, None]
+
+
 def _degenerate_cases():
     pair = make_gorenstein_pair(cone_over_polytope(P2))
     f = random_coefficients(pair, "f", 1)
@@ -147,8 +171,9 @@ def test_ha_is_hb_of_the_swapped_context():
     pair = make_gorenstein_pair(cone_over_polytope(P2))
     f = random_coefficients(pair, "f", 1)
     g = random_coefficients(pair, "g", 2)
-    assert cohomology_ha(Context(pair, f, g)).dims == \
-        cohomology_dhat(Context(pair.swap(), g, f)).dims
+    ctx = Context(pair, f, g)
+    assert cohomology_dhat(ctx.swap(), D=2 * pair.rank).dims == \
+        cohomology_dhat(Context(pair.swap(), g, f), D=2 * pair.rank).dims
 
 
 def test_failures_raise_on_every_call(monkeypatch):
@@ -209,7 +234,8 @@ def test_prop_maincoro_sweeps_keep_no_sheaf_alive(monkeypatch):
             tstar = annihilator_face(theta0, fan.dual_poset)
             for sigma0 in fan.dual_poset:
                 if fan.dual_poset.leq(sigma0, tstar):
-                    rep = verify_prop_maincoro(fan, theta0, sigma0, D=3)
+                    rep = verify_prop_maincoro(Context(), fan, theta0,
+                                               sigma0, D=3)
                     assert rep["verdict"] == "pass"
 
     counts = []

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 from stringykit.errors import NotFullDimensional, NotPointed
-from stringykit.lattice import (cone_from_rays, dot, dual_cone, faces,
+from stringykit.lattice import (FacePoset, cone_from_rays, dot, dual_cone,
                                 points_at_degree, qrank)
 from stringykit.gpoly import g_polynomial
 
@@ -44,13 +44,13 @@ def test_dual_involution_and_supports(rank, seed):
 @pytest.mark.parametrize("rank,seed", [(2, 3), (3, 3)])
 def test_face_posets_eulerian_and_graded(rank, seed):
     for cone in random_cones(seed, 3, rank):
-        poset = faces(cone)
+        poset = FacePoset(cone)
         assert poset.is_eulerian()
         assert poset.zero.dim == 0
         assert poset.top.dim == rank
         # dual faces across the pairing have complementary dimensions
         dual = dual_cone(cone)
-        dposet = faces(dual)
+        dposet = FacePoset(dual)
         from stringykit.sheaves import annihilator_face
         for f in poset:
             assert f.dim + annihilator_face(f, dposet).dim == rank
@@ -59,7 +59,7 @@ def test_face_posets_eulerian_and_graded(rank, seed):
 @pytest.mark.parametrize("seed", [5, 6])
 def test_g_polynomials_nonnegative_on_random_cones(seed):
     for cone in random_cones(seed, 3, 3):
-        poset = faces(cone)
+        poset = FacePoset(cone)
         for face in poset:
             g = g_polynomial(poset, poset.zero, face)
             assert all(c > 0 for c in g.coeffs.values())
@@ -80,7 +80,7 @@ def box_scan(cone, k, lam):
 def test_point_slices_match_box_scan(seed):
     rng = Random("fuzzpts:%d" % seed)
     for cone in random_cones(seed, 2, 2, coord_bound=2):
-        poset = faces(cone)
+        poset = FacePoset(cone)
         # a strictly positive functional: sum of facet normals works
         lam = tuple(sum(h[j] for h in cone.facet_normals)
                     for j in range(2))

@@ -1,13 +1,12 @@
-"""g-polynomials, IH dimensions, degree bounds."""
+"""g-polynomials, IH dimensions and their support bounds."""
 
 import pytest
 
 from stringykit.errors import NotEulerian
-from stringykit.gpoly import (IHDims, IntPolynomial, degree_bounds_ok,
-                              g_polynomial, h_polynomial, ih_dims,
-                              verify_degree_bounds)
-from stringykit.lattice import (cone_from_rays, cone_over_polytope, faces,
-                                make_gorenstein_pair)
+from stringykit.gpoly import (IHDims, IntPolynomial, g_polynomial,
+                              h_polynomial, ih_dims)
+from stringykit.lattice import (FacePoset, cone_from_rays,
+                                cone_over_polytope, make_gorenstein_pair)
 
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 PENTAGON = [(1, 0), (0, 1), (-1, 1), (-1, -1), (1, -1)]
@@ -20,20 +19,23 @@ def coeffs(p):
 
 def test_simplicial_is_one():
     for rays in ([(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-        poset = faces(cone_from_rays(rays))
+        poset = FacePoset(cone_from_rays(rays))
         assert coeffs(g_polynomial(poset, poset.zero, poset.top)) == {0: 1}
 
 
 def test_square_h_and_g():
-    poset = faces(cone_over_polytope(SQUARE))
-    h = h_polynomial(poset, poset.zero, poset.top)
-    assert coeffs(h) == {0: 1, 1: 2, 2: 1}
-    g = g_polynomial(poset, poset.zero, poset.top)
-    assert coeffs(g) == {0: 1, 1: 1}
+    # the top of a second poset of the cone is the same face by value,
+    # and so gives the same answer
+    poset = FacePoset(cone_over_polytope(SQUARE))
+    for top in (poset.top, FacePoset(cone_over_polytope(SQUARE)).top):
+        h = h_polynomial(poset, poset.zero, top)
+        assert coeffs(h) == {0: 1, 1: 2, 2: 1}
+        g = g_polynomial(poset, poset.zero, top)
+        assert coeffs(g) == {0: 1, 1: 1}
 
 
 def test_pentagon_h_and_g():
-    poset = faces(cone_over_polytope(PENTAGON))
+    poset = FacePoset(cone_over_polytope(PENTAGON))
     h = h_polynomial(poset, poset.zero, poset.top)
     assert coeffs(h) == {0: 1, 1: 3, 2: 1}
     g = g_polynomial(poset, poset.zero, poset.top)
@@ -42,7 +44,7 @@ def test_pentagon_h_and_g():
 
 def test_cube_g():
     # toric h-vector of the cube is (1,5,5,1); g_1 = f_0 - d - 1 = 8 - 4
-    poset = faces(cone_over_polytope(CUBE))
+    poset = FacePoset(cone_over_polytope(CUBE))
     h = h_polynomial(poset, poset.zero, poset.top)
     assert coeffs(h) == {0: 1, 1: 5, 2: 5, 3: 1}
     g = g_polynomial(poset, poset.zero, poset.top)
@@ -51,7 +53,7 @@ def test_cube_g():
 
 def test_g_nonnegative_on_all_intervals():
     for verts in (SQUARE, PENTAGON, CUBE):
-        poset = faces(cone_over_polytope(verts))
+        poset = FacePoset(cone_over_polytope(verts))
         for a in poset:
             for b in poset:
                 if poset.leq(a, b):
@@ -61,7 +63,7 @@ def test_g_nonnegative_on_all_intervals():
 
 def test_alternating_sum_identity():
     for verts in (SQUARE, PENTAGON):
-        poset = faces(cone_over_polytope(verts))
+        poset = FacePoset(cone_over_polytope(verts))
         for a in poset:
             for b in poset:
                 if poset.leq(a, b) and b.dim > a.dim:
@@ -70,21 +72,21 @@ def test_alternating_sum_identity():
 
 
 def test_ih_dims_point():
-    poset = faces(cone_over_polytope(SQUARE))
+    poset = FacePoset(cone_over_polytope(SQUARE))
     d = ih_dims(poset, poset.zero)
     assert d.absolute_dict() == {0: 1}
     assert d.relative_dict() == {0: 1}
 
 
 def test_ih_dims_square_cone():
-    poset = faces(cone_over_polytope(SQUARE))
+    poset = FacePoset(cone_over_polytope(SQUARE))
     d = ih_dims(poset, poset.top)
     assert d.absolute_dict() == {0: 1, 1: 1}
     assert d.relative_dict() == {2: 1, 3: 1}
 
 
 def test_ih_dims_simplicial():
-    poset = faces(cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    poset = FacePoset(cone_from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
     d = ih_dims(poset, poset.top)
     assert d.absolute_dict() == {0: 1}
     assert d.relative_dict() == {3: 1}
@@ -92,30 +94,39 @@ def test_ih_dims_simplicial():
 
 def test_relative_is_reversed_absolute():
     for verts in (SQUARE, PENTAGON, CUBE):
-        poset = faces(cone_over_polytope(verts))
+        poset = FacePoset(cone_over_polytope(verts))
         for face in poset:
             d = ih_dims(poset, face)
             assert d.relative_dict() == {
                 face.dim - e: c for e, c in d.absolute_dict().items()}
 
 
+def support_bounds_hold(dim, dims):
+    """The IH support bounds: every dim positive, absolute degrees in
+    [0, dim/2) and relative ones in (dim/2, dim], or 0 when dim = 0."""
+    return (all(c > 0 and e >= 0 and (2 * e < dim or e == dim == 0)
+                for e, c in dims.absolute)
+            and all(c > 0 and e <= dim and (2 * e > dim or e == dim == 0)
+                    for e, c in dims.relative))
+
+
 def test_degree_bounds_pass():
-    for rays in ([(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
-        pair = make_gorenstein_pair(cone_from_rays(rays))
-        assert verify_degree_bounds(pair)["verdict"] == "pass"
-    for verts in (SQUARE, CUBE):
-        pair = make_gorenstein_pair(cone_over_polytope(verts))
-        report = verify_degree_bounds(pair)
-        assert report["verdict"] == "pass"
-        assert report["failures"] == []
+    cones = [cone_from_rays(rays)
+             for rays in ([(1, 0), (0, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])]
+    cones += [cone_over_polytope(verts) for verts in (SQUARE, CUBE)]
+    for cone in cones:
+        pair = make_gorenstein_pair(cone)
+        for poset in (pair.poset(), pair.dual_poset()):
+            for face in poset:
+                assert support_bounds_hold(face.dim, ih_dims(poset, face))
 
 
 def test_degree_bounds_negative_control():
     # corrupted dims: an absolute class sitting at the half-point
     bad = IHDims(absolute=((1, 1),), relative=((1, 1),))
-    assert not degree_bounds_ok(2, bad)
+    assert not support_bounds_hold(2, bad)
     bad2 = IHDims(absolute=((0, 1), (2, 1)), relative=((1, 1), (3, 1)))
-    assert not degree_bounds_ok(3, bad2)
+    assert not support_bounds_hold(3, bad2)
 
 
 class _FakeElem:

@@ -6,13 +6,12 @@ import pytest
 
 from stringykit.errors import DegenerateCoefficients
 from stringykit.jacobian import (CoefficientFunction, Context, HatModel,
-                                 HatModuleElement, coefficient_function,
-                                 hat_action, log_derivative_elements,
-                                 random_coefficients)
+                                 _hat_action_vec, coefficient_function,
+                                 log_derivative_elements, random_coefficients)
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
                                 make_gorenstein_pair, padd, points_at_degree,
                                 span_coords)
-from stringykit.linalg import Echelon, exact_rank
+from stringykit.linalg import Echelon, exact_rank, vec_add
 
 P2 = [(1, 0), (0, 1), (-1, -1)]
 
@@ -321,6 +320,11 @@ def test_nondegenerate_fermat():
     pair = p2_pair()
     assert Context(pair).is_nondegenerate(fermat_f(pair))
     assert Context(pair).is_nondegenerate(const_f(pair))
+    # the certificate reads the context's posets: a function on a cone of
+    # another pair is refused, not certified on the wrong faces
+    other = make_gorenstein_pair(cone_from_rays([(1, 0), (0, 1)]))
+    with pytest.raises(ValueError):
+        Context(other).is_nondegenerate(const_f(pair))
 
 
 def test_degenerate_zero():
@@ -340,14 +344,21 @@ def test_degenerate_single_vertex_support():
             assert not Context().face_is_nondegenerate(face, f)
 
 
+def hat_action(face, g, mu, vec):
+    """mu . vec in the hat module, vec a sparse dict: _hat_action_vec with
+    the log-derivative elements of g summed by the coordinates of mu."""
+    weights = {}
+    for a, elem in zip(mu, log_derivative_elements(face, g)):
+        weights = vec_add(weights, elem, a)
+    return _hat_action_vec(face, weights.items(), tuple(mu), vec)
+
+
 def test_hat_action_at_origin():
     pair = p2_pair()
     g = random_coefficients(pair, "g", seed=1)
     sigma = pair.dual_poset().top
     zero = (0,) * 3
-    v = HatModuleElement.monomial(sigma, zero)
-    mu = (1, 0, 0)
-    out = hat_action(sigma, g, mu, v).mapping()
+    out = hat_action(sigma, g, (1, 0, 0), {zero: 1})
     # mu(0) = 0, so only the degree-raising part appears
     expect = {}
     for n in g.domain():
@@ -366,8 +377,7 @@ def test_hat_action_ray_formula():
     b = g(n)
     for k in (1, 2, 3):
         kn = tuple(k * x for x in n)
-        v = HatModuleElement.monomial(ray, kn)
-        out = hat_action(ray, g, (1,), v).mapping()
+        out = hat_action(ray, g, (1,), {kn: 1})
         mu_n = span_coords(ray, n)[0]
         expect = {tuple((k + 1) * x for x in n): b * mu_n}
         if k * mu_n:
@@ -380,7 +390,7 @@ def test_hat_action_commutes():
     g = random_coefficients(pair, "g", seed=5)
     sigma = pair.dual_poset().top
     for pt in [(0, 0, 1), (1, 0, 1), (0, 0, 2)]:
-        v = HatModuleElement.monomial(sigma, pt)
+        v = {pt: 1}
         for mu1 in [(1, 0, 0), (0, 1, 0), (1, 2, 0)]:
             for mu2 in [(0, 0, 1), (1, 1, 1)]:
                 a = hat_action(sigma, g, mu2, hat_action(sigma, g, mu1, v))
@@ -397,8 +407,7 @@ def test_hat_model_generators_are_the_hat_action():
     count = 0
     for (c, j, vec), pivot in zip(model._generators(), model.pivots):
         mu = tuple(int(i == j) for i in range(sigma.dim))
-        expect = hat_action(sigma, g, mu,
-                            HatModuleElement.monomial(sigma, c)).mapping()
+        expect = hat_action(sigma, g, mu, {c: 1})
         assert vec == expect
         assert pivot == (ech.insert(expect) if expect else None)
         count += 1

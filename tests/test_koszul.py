@@ -10,9 +10,8 @@ from stringykit.errors import (DegenerateCoefficients, InfinitePiece,
                                TruncationTooSmall)
 from stringykit.jacobian import (Context, coefficient_function,
                                  random_coefficients)
-from stringykit.koszul import (cohomology_d, cohomology_dhat, cohomology_ha,
-                               d_column, decomposition_dims, dhat_column,
-                               hb_assemble, v_basis)
+from stringykit.koszul import (cohomology_d, cohomology_dhat,
+                               decomposition_dims, hb_assemble, v_basis)
 from stringykit.lattice import (cone_from_rays, cone_over_polytope, dot,
                                 make_gorenstein_pair, points_at_degree)
 from stringykit.linalg import exact_pivots, exact_rank
@@ -75,11 +74,12 @@ def test_d_squared_zero():
         f = random_coefficients(pair, "f", seed=1)
         g = random_coefficients(pair, "g", seed=2)
         basis = v_basis(pair, "d", top)
+        d = koszul._columns(f, g)
         for k in range(top):
-            for col in (d_column(pair, f, g, e) for e in basis[k]):
+            for col in (d(e) for e in basis[k]):
                 acc = {}
                 for elt, v in col.items():
-                    for elt2, w in d_column(pair, f, g, elt).items():
+                    for elt2, w in d(elt).items():
                         acc[elt2] = acc.get(elt2, 0) + v * w
                 assert not any(acc.values())
 
@@ -139,7 +139,7 @@ def test_columns_match_the_per_element_oracle():
     """The column builders of cohomology_d and cohomology_dhat, read in
     piece order as the engine reads them, give the oracle's column on
     every element of the P2 d pieces (D = 6) and d-hat pieces (cap <= 4),
-    and so do d_column and dhat_column."""
+    and so does a fresh builder per element."""
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
@@ -152,7 +152,7 @@ def test_columns_match_the_per_element_oracle():
         for e in elems:
             want = _typed(oracle_d_column(f, g, e))
             assert _typed(column(e)) == want, e
-            assert _typed(d_column(pair, f, g, e)) == want, e
+            assert _typed(koszul._columns(f, g)(e)) == want, e
     column = koszul._columns(f, g, hat=True)
     count = 0
     for gv in range(2 * pair.rank + 1):
@@ -160,7 +160,7 @@ def test_columns_match_the_per_element_oracle():
             for e in koszul._dhat_piece(pair, gv, cap):
                 want = _typed(oracle_dhat_column(f, g, e))
                 assert _typed(column(e)) == want, e
-                assert _typed(dhat_column(pair, f, g, e)) == want, e
+                assert _typed(koszul._columns(f, g, hat=True)(e)) == want, e
                 count += 1
     assert sum(map(len, pieces.values())) == 5368 and count > 5000
 
@@ -169,7 +169,7 @@ def test_d_zero_function():
     pair = p2_pair()
     f0 = coeffs_const(pair, "f", 0)
     g0 = coeffs_const(pair, "g", 0)
-    cols = [d_column(pair, f0, g0, e) for e in v_basis(pair, "d", 1)[1]]
+    cols = [koszul._columns(f0, g0)(e) for e in v_basis(pair, "d", 1)[1]]
     assert all(not c for c in cols)
 
 
@@ -178,9 +178,10 @@ def test_d_r1_hand_block():
     pair = ray_pair()
     f = coefficient_function(pair, "f", {(1,): Fraction(3)})
     g = coefficient_function(pair, "g", {(1,): Fraction(5)})
-    col = d_column(pair, f, g, ((0,), (0,), (0,)))
+    d = koszul._columns(f, g)
+    col = d(((0,), (0,), (0,)))
     assert col == {((1,), (0,), ()): Fraction(3)}
-    col0 = d_column(pair, f, g, ((0,), (0,), ()))
+    col0 = d(((0,), (0,), ()))
     assert col0 == {((0,), (1,), (0,)): Fraction(5)}
 
 
@@ -269,10 +270,11 @@ def test_dhat_extra_term():
     f = coefficient_function(pair, "f", {(1,): Fraction(1)})
     g = coefficient_function(pair, "g", {(1,): Fraction(1)})
     # extra term on (m, n, ()) adds (m, n, (0,)) with coefficient n
-    col = dhat_column(pair, f, g, ((0,), (2,), ()))
+    dhat = koszul._columns(f, g, hat=True)
+    col = dhat(((0,), (2,), ()))
     assert col[((0,), (2,), (0,))] == 2
     # vanishes when n = 0
-    col0 = dhat_column(pair, f, g, ((1,), (0,), ()))
+    col0 = dhat(((1,), (0,), ()))
     assert ((1,), (0,), (0,)) not in col0
 
 
@@ -283,9 +285,10 @@ def test_dhat_squared_zero_on_quotient():
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
     p = 4
+    dhat = koszul._columns(f, g, hat=True)
 
     def quotient_column(elt):
-        return {key: v for key, v in dhat_column(pair, f, g, elt).items()
+        return {key: v for key, v in dhat(elt).items()
                 if dot(pair.deg, key[1]) < p}
 
     for gv in range(4):
@@ -307,11 +310,12 @@ def test_dhat_squared_zero_exact_p2(swap):
         g = random_coefficients(pair, "g", seed=2)
         if swap:
             pair, f, g = pair.swap(), g, f
+        dhat = koszul._columns(f, g, hat=True)
         for gv, basis in v_basis(pair, "dhat", 6, n_cap=3).items():
             for elt in basis:
                 acc = {}
-                for elt2, v in dhat_column(pair, f, g, elt).items():
-                    for elt3, w in dhat_column(pair, f, g, elt2).items():
+                for elt2, v in dhat(elt).items():
+                    for elt3, w in dhat(elt2).items():
                         acc[elt3] = acc.get(elt3, 0) + v * w
                 assert not any(acc.values()), (gv, elt)
 
@@ -325,8 +329,8 @@ def test_cohomology_d_pruned_ranks_are_full_ranks(build):
         f = random_coefficients(pair, "f", seed=seed)
         g = random_coefficients(pair, "g", seed=seed + 1)
         rep = cohomology_d(Context(pair, f, g), D=6)
-        full = {k: exact_rank([d_column(pair, f, g, e) for e in basis[k]])
-                for k in range(6)}
+        d = koszul._columns(f, g)
+        full = {k: exact_rank([d(e) for e in basis[k]]) for k in range(6)}
         assert rep.ranks == full, seed
 
 
@@ -358,11 +362,11 @@ def test_cohomology_dhat_pruned_ranks_are_full_ranks(swap, monkeypatch):
         return v_basis(pair, "dhat", gv, n_cap=cap)[gv]
 
     full = {}
+    dhat = koszul._columns(f, g, hat=True)
 
     def rank(gv, cap):
         if (gv, cap) not in full:
-            full[(gv, cap)] = exact_rank(
-                [dhat_column(pair, f, g, e) for e in basis(gv, cap)])
+            full[(gv, cap)] = exact_rank([dhat(e) for e in basis(gv, cap)])
         return full[(gv, cap)]
 
     for gv in range(D + 1):
@@ -462,7 +466,8 @@ def test_ha_by_delegation():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    arep = cohomology_ha(Context(pair, f, g))
+    # H_A of (f, g) is H_B of the swapped pair, f and g exchanged
+    arep = cohomology_dhat(Context(pair, f, g).swap(), D=2 * pair.rank)
     assert not arep.flags
     got = {k: v for k, v in arep.dims.items() if v}
     # for this pair the A side mirrors the B side

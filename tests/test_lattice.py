@@ -6,8 +6,8 @@ import pytest
 
 from stringykit.errors import (DegeneratePolytope, NotFullDimensional,
                                NotGorenstein, NotPointed, UnboundedSlice)
-from stringykit.lattice import (cone_from_rays, cone_over_polytope,
-                                dot, dual_cone, dual_face, faces,
+from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
+                                dot, dual_cone, dual_face,
                                 make_gorenstein_pair, points_at_degree,
                                 primitive, span_coords, qrank)
 
@@ -134,13 +134,13 @@ def test_cone_over_polytope():
 
 
 def test_face_counts():
-    assert len(faces(cone_from_rays([(1, 0), (0, 1)]))) == 4
-    assert len(faces(cone_over_polytope(P2_TRIANGLE))) == 8
-    assert len(faces(cone_over_polytope(SQUARE))) == 10
+    assert len(FacePoset(cone_from_rays([(1, 0), (0, 1)]))) == 4
+    assert len(FacePoset(cone_over_polytope(P2_TRIANGLE))) == 8
+    assert len(FacePoset(cone_over_polytope(SQUARE))) == 10
 
 
 def test_face_dims_triangle():
-    poset = faces(cone_over_polytope(P2_TRIANGLE))
+    poset = FacePoset(cone_over_polytope(P2_TRIANGLE))
     dims = sorted(f.dim for f in poset)
     assert dims == [0, 1, 1, 1, 2, 2, 2, 3]
     assert poset.zero.dim == 0
@@ -154,7 +154,7 @@ def test_face_dims_triangle():
     lambda: cone_over_polytope(SQUARE),
 ])
 def test_face_poset_eulerian(build):
-    assert faces(build()).is_eulerian()
+    assert FacePoset(build()).is_eulerian()
 
 
 def test_dual_face_involution_and_dims():
@@ -246,7 +246,7 @@ def test_points_at_degree_zero():
 
 def test_unbounded_slice():
     c = cone_from_rays([(1, 0), (0, 1)])
-    top = faces(c).top
+    top = FacePoset(c).top
     with pytest.raises(UnboundedSlice):
         points_at_degree(top, 1, (1, 0))
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from random import Random
 
 from stringykit.jacobian import random_coefficients
-from stringykit.koszul import d_column, dhat_column, v_basis
+from stringykit.koszul import _columns, v_basis
 from stringykit.lattice import cone_over_polytope, make_gorenstein_pair
 from stringykit.linalg import Echelon, kernel_basis, rational
 from stringykit.sheaves import BigradedComplex, FanSpace, MinimalSheaf
@@ -51,12 +51,13 @@ def test_segment_koszul_columns_are_int():
     f = random_coefficients(pair, "f", 1)
     g = random_coefficients(pair, "g", 2)
     seen = set()
+    d, dhat = _columns(f, g), _columns(f, g, hat=True)
     for elems in v_basis(pair, "d", 4).values():
         for e in elems:
-            seen |= _types(d_column(pair, f, g, e).values())
+            seen |= _types(d(e).values())
     for elems in v_basis(pair, "dhat", 4, n_cap=3).values():
         for e in elems:
-            seen |= _types(dhat_column(pair, f, g, e).values())
+            seen |= _types(dhat(e).values())
     assert seen == {int}
 
 
