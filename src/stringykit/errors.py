@@ -42,10 +42,6 @@ class DegenerateCoefficients(StringyKitError):
     """Coefficient function fails the nondegeneracy certificate."""
 
 
-class InfinitePiece(StringyKitError):
-    """A graded piece is infinite-dimensional without an N-degree cap."""
-
-
 class ParseError(StringyKitError):
     """Malformed input document."""
 

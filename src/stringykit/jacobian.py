@@ -5,7 +5,8 @@ Ring elements are sparse dicts keyed by lattice points.  One class,
 ``HatModel``, is the ideal model of a face: the graded Jacobian quotient
 is the hat model without its deformation term.  Its echelon basis gives
 dimensions and canonical representatives in one computation; a graded
-model proves its top levels zero without rows (see ``HatModel``).
+model proves its top levels zero without rows (see ``HatModel``).  R1
+filters its interior points from the levels the model enumerated.
 
 A ``Context`` is the one way to a per-face object: its methods
 ``quotient``, ``r1``, ``face_is_nondegenerate``, ``is_nondegenerate``,
@@ -22,7 +23,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DegenerateCoefficients, StabilizationFailed
-from .lattice import dot, padd, points_at_degree, span_coords
+from .lattice import (dot, interior_points, padd, points_at_degree,
+                      span_coords)
 from .linalg import Echelon, _add, rational
 from .sheaves import FanSpace, _nonzero_cohomology
 
@@ -50,12 +52,6 @@ class CoefficientFunction:
 
     def domain(self):
         return [p for p, _ in self.values]
-
-    def scaled(self, c):
-        c = rational(c)
-        return CoefficientFunction(
-            self.cone, self.lam,
-            tuple((p, rational(c * v)) for p, v in self.values))
 
 
 def coefficient_function(pair, side, mapping):
@@ -336,17 +332,17 @@ class HatModel:
         return {c: ech.shadow(c) for c in ech.pivot_columns()}
 
     def interior_level_data(self):
-        """Per level k <= D: the interior monomials whose classes are
-        new.  One echelon, ``classes``, spans all levels (so a class counts
-        only when new modulo lower levels), the class of p with shadow
-        {p: 1}.  Computed once per model, fixed after its build."""
+        """Per level k <= D: the interior monomials of the model's levels
+        whose classes are new.  One echelon, ``classes``, spans all levels
+        (so a class counts only when new modulo lower levels), the class
+        of p with shadow {p: 1}.  Computed once per model, fixed after
+        its build."""
         if self._level_data is None:
             self.classes = Echelon()
             out = []
             for k in range(self.D + 1):
                 level = []
-                for p in points_at_degree(self.face, k, self.lam,
-                                          interior_only=True):
+                for p in interior_points(self.face, self.levels[k]):
                     rem = self.class_reduce({p: 1})
                     if rem and self.classes.insert(rem, {p: 1}) is not None:
                         level.append(p)

@@ -32,6 +32,9 @@ The job-level entry points take one ``jacobian.Context``, whose f and g
 were certified when it was made; the assemblies read R1 and R1-hat from
 it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
 (``v_basis`` and ``_columns``) take explicit data and certify nothing.
+A cohomology enumerates each level set of the two top faces once
+(``_levels``): the pieces of d (``v_basis``) and of d-hat
+(``_dhat_piece``) are read off those levels.
 The A-side cohomology is ``cohomology_dhat`` of the swapped context
 (``Context.swap``): one differential, one sign convention.
 """
@@ -40,62 +43,45 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import InfinitePiece, TruncationTooSmall
+from .errors import TruncationTooSmall
 from .lattice import dot, dual_face, padd, points_at_degree
 from .linalg import Complex
 
 
-def v_basis(pair, grading, bound, n_cap=None):
-    """Graded pieces of the complex: {value: [(m, n, S), ...]}.
+def _levels(pair):
+    """Readers k -> the points of degree k on the top faces of K (the m)
+    and of K_dual (the n); each level is enumerated on its first read."""
+    return tuple(lru_cache(maxsize=None)(
+        lambda k, top=poset.top, lam=lam: points_at_degree(top, k, lam))
+        for poset, lam in ((pair.poset(), pair.deg_dual),
+                           (pair.dual_poset(), pair.deg)))
 
-    grading "d": value = <m,deg_dual> + <deg,n> up to bound.
-    grading "dhat": value = 2<m,deg_dual> + |S| up to bound; requires an
-    n-degree cap (InfinitePiece otherwise), points with <deg,n> <= n_cap.
-    """
-    if grading == "dhat":
-        if n_cap is None:
-            raise InfinitePiece(
-                "d-hat graded pieces are infinite without an n-degree cap")
-        return {gv: _dhat_piece(pair, gv, n_cap) for gv in range(bound + 1)}
-    if grading != "d":
-        raise ValueError("grading must be 'd' or 'dhat'")
+
+def _elements(ms, ns, wedges):
+    """The (m, n, S) over m in ms, n in ns with <m, n> = 0, S in wedges."""
+    return [(m, n, S) for m in ms for n in ns if dot(m, n) == 0
+            for S in wedges]
+
+
+def v_basis(pair, bound):
+    """Graded pieces of the plain complex, each sorted: {k: [(m, n, S),
+    ...]} for k = <m, deg_dual> + <deg, n> up to bound."""
     r = pair.rank
     wedges = [S for ell in range(r + 1) for S in combinations(range(r), ell)]
-    top, dual_top = pair.poset().top, pair.dual_poset().top
-    pts_m = [points_at_degree(top, a, pair.deg_dual)
-             for a in range(bound + 1)]
-    pts_n = [points_at_degree(dual_top, b, pair.deg)
-             for b in range(bound + 1)]
-    out = {}
-    for k in range(bound + 1):
-        elems = []
-        for a in range(k + 1):
-            for m in pts_m[a]:
-                for n in pts_n[k - a]:
-                    if dot(m, n) == 0:
-                        elems.extend((m, n, S) for S in wedges)
-        out[k] = sorted(elems)
-    return out
+    m_at, n_at = _levels(pair)
+    return {k: sorted(e for a in range(k + 1)
+                      for e in _elements(m_at(a), n_at(k - a), wedges))
+            for k in range(bound + 1)}
 
 
-def _dhat_piece(pair, gv, n_cap):
-    """The d-hat grading gv with n-degree <= n_cap, sorted: the piece
-    v_basis(pair, "dhat", bound, n_cap)[gv], without the other gradings."""
-    r = pair.rank
-    top, dual_top = pair.poset().top, pair.dual_poset().top
-    pts_n = [n for b in range(n_cap + 1)
-             for n in points_at_degree(dual_top, b, pair.deg)]
-    elems = []
-    for a in range(gv // 2 + 1):
-        ell = gv - 2 * a
-        if ell > r:
-            continue
-        level_wedges = list(combinations(range(r), ell))
-        for m in points_at_degree(top, a, pair.deg_dual):
-            for n in pts_n:
-                if dot(m, n) == 0:
-                    elems.extend((m, n, S) for S in level_wedges)
-    return sorted(elems)
+def _dhat_piece(levels, r, gv, n_cap):
+    """The d-hat grading gv = 2 <m, deg_dual> + |S| with n-degree
+    <= n_cap, sorted, read off the level readers of ``_levels``."""
+    m_at, n_at = levels
+    ns = [n for b in range(n_cap + 1) for n in n_at(b)]
+    return sorted(e for a in range(gv // 2 + 1) if gv - 2 * a <= r
+                  for e in _elements(m_at(a), ns,
+                                     list(combinations(range(r), gv - 2 * a))))
 
 
 @lru_cache(maxsize=None)
@@ -178,7 +164,7 @@ def cohomology_d(ctx, D=6):
     if D < 1:
         raise TruncationTooSmall("cohomology_d needs D >= 1")
     pair, f, g = ctx.pair, ctx.f, ctx.g
-    basis = v_basis(pair, "d", D - 1)
+    basis = v_basis(pair, D - 1)
     vdims = {k: len(v) for k, v in basis.items()}
     pieces = {}
     for k in range(D):
@@ -238,9 +224,10 @@ def cohomology_dhat(ctx, D=6, p_max=8):
     if p_max < 2:
         raise TruncationTooSmall("cohomology_dhat needs p_max >= 2")
     pair, f, g = ctx.pair, ctx.f, ctx.g
+    levels = _levels(pair)
     # keyed (gv, cap): basis vectors of n-degree <= cap; d_hat raises the
     # n-degree by at most one, so the pivots of (gv-1, cap-1) lie there
-    cx = Complex(lambda gv, cap: _dhat_piece(pair, gv, cap),
+    cx = Complex(lambda gv, cap: _dhat_piece(levels, pair.rank, gv, cap),
                  _columns(f, g, hat=True),
                  lambda gv, cap: (gv - 1, cap - 1) if gv and cap else None)
     dims = {}

@@ -9,6 +9,8 @@ plenty at desk scale (rank <= 6, a few dozen rays).
 A GorensteinPair holds the FacePosets of its two cones, built once by
 ``make_gorenstein_pair``; no poset is cached at module level, and faces
 of two posets of one cone are equal by value, not by identity.
+``interior_points`` filters a face's relative interior out of one level
+of ``points_at_degree``, so a level is never scanned twice.
 """
 
 from dataclasses import dataclass, field
@@ -277,14 +279,7 @@ class Face:
         return "Face(dim=%d, rays=%s)" % (self.dim, list(self.rays))
 
 
-def _make_face(cone, ray_tuple):
-    rays = tuple(sorted(ray_tuple))
-    nf = cone.facet_normals
-    if rays:
-        active = frozenset(
-            j for j in range(len(nf)) if all(dot(r, nf[j]) == 0 for r in rays))
-    else:
-        active = frozenset(range(len(nf)))
+def _make_face(cone, rays, active):
     basis = span_lattice_basis(rays, cone.ambient_rank)
     return Face(cone, active, rays, len(basis), basis)
 
@@ -302,10 +297,9 @@ class FacePoset:
         while queue:
             ray_tuple = queue.pop()
             rays = tuple(sorted(ray_tuple))
-            if rays:
-                active = frozenset.intersection(*[tight[r] for r in rays])
-            else:
-                active = frozenset(range(len(nf)))
+            # with no rays, every facet: the zero face
+            active = frozenset(range(len(nf))).intersection(
+                *[tight[r] for r in rays])
             if active in seen:
                 continue
             seen[active] = rays
@@ -313,7 +307,7 @@ class FacePoset:
                 if j not in active:
                     queue.append(tuple(r for r in rays if j in tight[r]))
         self.faces = tuple(sorted(
-            (_make_face(cone, rays) for rays in seen.values()),
+            (_make_face(cone, rays, active) for active, rays in seen.items()),
             key=lambda f: (f.dim, f.rays)))
         self.by_rays = {f.rays: f for f in self.faces}
         self.zero = self.by_rays[()]
@@ -442,11 +436,10 @@ def span_coords(face, point):
     return span_coords_for(face.span_basis, point)
 
 
-def points_at_degree(face, k, lam, interior_only=False):
+def points_at_degree(face, k, lam):
     """Lattice points x of the face with <x, lam> = k, lex-sorted.
 
-    interior_only restricts to the relative interior.  Raises
-    UnboundedSlice unless lam is strictly positive on every ray.
+    Raises UnboundedSlice unless lam is strictly positive on every ray.
     """
     cone = face.cone
     n = cone.ambient_rank
@@ -459,7 +452,7 @@ def points_at_degree(face, k, lam, interior_only=False):
     if any(h <= 0 for h in heights):
         raise UnboundedSlice("grading functional not positive on a ray")
     if k == 0:
-        return [] if interior_only else [zero]
+        return [zero]
     # integer box around the slice, the hull of k r / h over the rays r
     ranges = []
     for j in range(n):
@@ -479,9 +472,18 @@ def points_at_degree(face, k, lam, interior_only=False):
                 if v != 0:
                     ok = False
                     break
-            elif v < 0 or (interior_only and v == 0):
+            elif v < 0:
                 ok = False
                 break
         if ok:
             out.append(x)
     return out
+
+
+def interior_points(face, points):
+    """The given points of the face that pair strictly positively with
+    every facet normal it does not saturate: its relative interior.  The
+    zero face saturates every facet, so its point 0 is interior."""
+    off = [h for j, h in enumerate(face.cone.facet_normals)
+           if j not in face.active]
+    return [x for x in points if all(dot(x, h) > 0 for h in off)]

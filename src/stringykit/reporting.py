@@ -149,6 +149,8 @@ def parse_input(doc, default_seed=0):
     for name in verify:
         if name != "all" and name not in VERIFICATION_NAMES:
             raise ParseError("unknown verification %r" % name, "verify")
+    if len(set(verify)) != len(verify):
+        raise ParseError("repeated verification name", "verify")
     if "all" in verify:
         verify = list(VERIFICATION_NAMES)
     max_degree = doc.get("max_degree", 6)

@@ -18,7 +18,8 @@ Echelon that ``kernel_basis`` returns for the agreement constraints over
 the maximal cells.  d checks each image against those constraints, whose
 kernel W is, and reads its coordinates at the echelon's pivot columns.
 Its d has the X tensor Lambda* N form stated in the ``koszul`` module
-docstring.
+docstring; ``d_column`` reads the actions of m_i and n_i on W from one
+table per bidegree (``_action_table``).
 
 A FanSpace builds its own face posets.  The verifiers take a
 ``jacobian.Context`` (``Context()`` without a job) and read the fan and
@@ -149,25 +150,18 @@ class MinimalSheaf:
 
     # -- free-module bookkeeping ------------------------------------
 
-    def gen_bidegrees(self, cell):
-        return self.gens.get(cell, ())
-
     def basis_at(self, cell, a, b):
         """(basis, index) of the cell's sections at (a, b); the cell must
-        be built already."""
+        be built already; in (generator, u, v) order, as the loops yield."""
         key = (cell, a, b)
         got = self._basis_cache.get(key)
         if got is not None:
             return got
-        out = []
-        xd, yd = cell.theta.dim, cell.sigma.dim
-        for gi, (p, q) in enumerate(self.gens[cell]):
-            if a < p or b < q:
-                continue
-            for um in _monomials(xd, a - p):
-                for vm in _monomials(yd, b - q):
-                    out.append((um, vm, gi))
-        out = tuple(sorted(out, key=lambda e: (e[2], e[0], e[1])))
+        out = tuple((um, vm, gi)
+                    for gi, (p, q) in enumerate(self.gens[cell])
+                    if a >= p and b >= q
+                    for um in _monomials(cell.theta.dim, a - p)
+                    for vm in _monomials(cell.sigma.dim, b - q))
         self._basis_cache[key] = (out, {e: i for i, e in enumerate(out)})
         return self._basis_cache[key]
 
@@ -447,15 +441,11 @@ class BigradedComplex:
     def dim(self, a, b):
         return self.space(a, b)[1].rank
 
-    def action(self, side, i, a, b):
-        """Sparse rows [(t2, v), ...] of the i-th global function of a side
-        on W_(a, b): side 0 is n_i on the theta spans, into W_(a+1, b);
-        side 1 is m_i on the sigma spans, into W_(a, b+1).  ValueError
-        when an image leaves W."""
-        return self._action_table(a, b)[side][i]
-
     def _action_table(self, a, b):
-        """Every action on W_(a, b), by side and then i, built once."""
+        """Every action on W_(a, b), built once: by side and then i, the
+        sparse rows [(t2, v), ...] of n_i on the theta spans into
+        W_(a+1, b) (side 0) or of m_i on the sigma spans into W_(a, b+1)
+        (side 1).  ValueError when an image leaves W."""
         got = self._actions.get((a, b))
         if got is None:
             got = self._actions[(a, b)] = tuple(
@@ -518,10 +508,6 @@ class BigradedComplex:
                     col[key + (t2,)] = sign * v
         return col
 
-    def d_columns(self, gr, s):
-        """Differential on the (gr, s) block, one column per label."""
-        return [self.d_column(lab) for lab in self.block_basis(gr, s)]
-
     def engine(self):
         """A new ``linalg.Complex`` of the blocks, keyed (gr, s).  It is
         not kept: an engine held here would close a reference cycle
@@ -581,28 +567,19 @@ def verify_prop_maincoro(ctx, fan, theta0, sigma0, D=6):
     nonzero = ctx.sheaf_cohomology(fan, fan.cell(theta0, sigma0), D)
     tstar = annihilator_face(theta0, fan.dual_poset)
     full = (sigma0.key() == tstar.key())
-    report = {
-        "origin": {"theta_dim": theta0.dim, "sigma_dim": sigma0.dim},
-        "case": "sigma0 = theta0*" if full else "sigma0 < theta0*",
-        "window": {"max_total_degree": D - 1},
-        "nonzero": [{"gr": gr, "poly_degree": s, "dim": d}
-                    for (gr, s), d in sorted(nonzero.items())],
-    }
+    report = {"case": "sigma0 = theta0*" if full else "sigma0 < theta0*",
+              "nonzero": [{"gr": gr, "poly_degree": s, "dim": d}
+                          for (gr, s), d in sorted(nonzero.items())]}
     if not full:
         report["verdict"] = "pass" if not nonzero else "fail"
         return report
+    # the class sits at bidegree (0,0), so its gr-value IS its
+    # Lambda-degree: dim theta0* = r - dim theta0 at every origin of the
+    # corpus fans.  The source derivation's estimate r/2 + (dim theta0 +
+    # dim sigma0)/2 is r when sigma0 = theta0*: it agrees only at the
+    # zero cell.
     expected_lambda = tstar.dim
-    ok = (list(nonzero.keys()) == [(expected_lambda, 0)]
-          and nonzero[(expected_lambda, 0)] == 1)
+    ok = nonzero == {(expected_lambda, 0): 1}
     report["verdict"] = "pass" if ok else "fail"
     report["computed_lambda_degree"] = expected_lambda if ok else None
-    # the class sits at bidegree (0,0), so its gr-value IS its
-    # Lambda-degree.  The displayed estimate r/2 + (dim theta0 +
-    # dim sigma0)/2 in the source derivation is r when sigma0 = theta0*,
-    # while dim theta0* = r - dim theta0 is r only at the zero cell; the
-    # computed class sits at dim theta0* at every origin of the corpus
-    # fans, so the note gives that degree.
-    report["grading_note"] = (
-        "surviving class at (deg_x, deg_y) = (0, 0), Lambda-degree "
-        "= dim theta0* = %d" % expected_lambda)
     return report

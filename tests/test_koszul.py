@@ -2,12 +2,12 @@
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from stringykit import koszul, linalg
-from stringykit.errors import (DegenerateCoefficients, InfinitePiece,
-                               TruncationTooSmall)
+from stringykit.errors import DegenerateCoefficients, TruncationTooSmall
 from stringykit.jacobian import (Context, coefficient_function,
                                  random_coefficients)
 from stringykit.koszul import (cohomology_d, cohomology_dhat,
@@ -41,9 +41,14 @@ def coeffs_const(pair, side, value=1):
     return coefficient_function(pair, side, {p: value for p in delta})
 
 
+def dhat_piece(pair, gv, cap):
+    """The d-hat piece (gv, cap) as cohomology_dhat reads it."""
+    return koszul._dhat_piece(koszul._levels(pair), pair.rank, gv, cap)
+
+
 def test_v_basis_r1_examples():
     pair = ray_pair()
-    basis = v_basis(pair, "d", 1)
+    basis = v_basis(pair, 1)
     assert basis[0] == [((0,), (0,), ()), ((0,), (0,), (0,))]
     assert len(basis[1]) == 4
     assert set(basis[1]) == {((1,), (0,), ()), ((1,), (0,), (0,)),
@@ -52,7 +57,7 @@ def test_v_basis_r1_examples():
 
 def test_v_basis_p2_against_enumeration():
     pair = p2_pair()
-    basis = v_basis(pair, "d", 2)
+    basis = v_basis(pair, 2)
     for k in range(3):
         count = 0
         for a in range(k + 1):
@@ -64,16 +69,71 @@ def test_v_basis_p2_against_enumeration():
         assert len(basis[k]) == count
 
 
-def test_v_basis_dhat_needs_cap():
-    with pytest.raises(InfinitePiece):
-        v_basis(p2_pair(), "dhat", 3)
+def brute_force_elements(pair, top_m, top_n):
+    """Every (a, b, m, n, S): m of degree a <= top_m on K, n of degree
+    b <= top_n on K_dual, <m, n> = 0, S any wedge subset."""
+    r = pair.rank
+    wedges = [S for ell in range(r + 1) for S in combinations(range(r), ell)]
+    for a in range(top_m + 1):
+        for m in points_at_degree(pair.poset().top, a, pair.deg_dual):
+            for b in range(top_n + 1):
+                for n in points_at_degree(pair.dual_poset().top, b,
+                                          pair.deg):
+                    if dot(m, n) == 0:
+                        for S in wedges:
+                            yield a, b, (m, n, S)
+
+
+@pytest.mark.parametrize("build", [ray_pair, segment_pair, p2_pair,
+                                   square_pair])
+def test_pieces_match_brute_force(build):
+    """v_basis at the corpus bound (max_degree 6, so gradings <= 5) and
+    the d-hat pieces at the corpus gradings (<= 2 rank) and at every cap
+    the corpus reports read (the gradings stabilize by cap 3), both ways
+    round."""
+    for pair in (build(), build().swap()):
+        want = {}
+        for a, b, e in brute_force_elements(pair, 5, 5):
+            if a + b <= 5:
+                want.setdefault(a + b, []).append(e)
+        assert v_basis(pair, 5) == \
+            {k: sorted(want.get(k, [])) for k in range(6)}
+        D = 2 * pair.rank
+        elems = list(brute_force_elements(pair, D // 2, 4))
+        levels = koszul._levels(pair)
+        for gv in range(D + 1):
+            for cap in range(5):
+                want = sorted(e for a, b, e in elems
+                              if b <= cap and 2 * a + len(e[2]) == gv)
+                assert koszul._dhat_piece(levels, pair.rank, gv, cap) == \
+                    want, (gv, cap)
+
+
+def test_each_level_set_is_enumerated_once(monkeypatch):
+    """A cohomology reads every level set of the two top faces from one
+    enumeration, however many pieces read it."""
+    pair = p2_pair()
+    ctx = Context(pair, random_coefficients(pair, "f", seed=1),
+                  random_coefficients(pair, "g", seed=2))
+    real = koszul.points_at_degree
+    for run in (lambda: cohomology_d(ctx, D=6),
+                lambda: cohomology_dhat(ctx, D=6, p_max=8)):
+        calls = []
+
+        def counted(face, k, lam):
+            calls.append((face.cone, k))
+            return real(face, k, lam)
+        monkeypatch.setattr(koszul, "points_at_degree", counted)
+        run()
+        monkeypatch.undo()
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_d_squared_zero():
     for pair, top in ((ray_pair(), 6), (segment_pair(), 6), (p2_pair(), 3)):
         f = random_coefficients(pair, "f", seed=1)
         g = random_coefficients(pair, "g", seed=2)
-        basis = v_basis(pair, "d", top)
+        basis = v_basis(pair, top)
         d = koszul._columns(f, g)
         for k in range(top):
             for col in (d(e) for e in basis[k]):
@@ -144,7 +204,7 @@ def test_columns_match_the_per_element_oracle():
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
     pieces = {}
-    for k, elems in v_basis(pair, "d", 5).items():
+    for k, elems in v_basis(pair, 5).items():
         for e in elems:
             pieces.setdefault((k, koszul._tau_d(pair, e)), []).append(e)
     column = koszul._columns(f, g)
@@ -157,7 +217,7 @@ def test_columns_match_the_per_element_oracle():
     count = 0
     for gv in range(2 * pair.rank + 1):
         for cap in range(1, 5):
-            for e in koszul._dhat_piece(pair, gv, cap):
+            for e in dhat_piece(pair, gv, cap):
                 want = _typed(oracle_dhat_column(f, g, e))
                 assert _typed(column(e)) == want, e
                 assert _typed(koszul._columns(f, g, hat=True)(e)) == want, e
@@ -169,7 +229,7 @@ def test_d_zero_function():
     pair = p2_pair()
     f0 = coeffs_const(pair, "f", 0)
     g0 = coeffs_const(pair, "g", 0)
-    cols = [koszul._columns(f0, g0)(e) for e in v_basis(pair, "d", 1)[1]]
+    cols = [koszul._columns(f0, g0)(e) for e in v_basis(pair, 1)[1]]
     assert all(not c for c in cols)
 
 
@@ -260,8 +320,9 @@ def test_rescaling_invariance():
     f = random_coefficients(pair, "f", seed=8)
     g = random_coefficients(pair, "g", seed=9)
     base = cohomology_d(Context(pair, f, g), D=4).dims
-    scaled = cohomology_d(Context(pair, f.scaled(Fraction(5, 2)), g),
-                          D=4).dims
+    f2 = coefficient_function(pair, "f", {p: Fraction(5, 2) * v
+                                         for p, v in f.values})
+    scaled = cohomology_d(Context(pair, f2, g), D=4).dims
     assert base == scaled
 
 
@@ -292,7 +353,7 @@ def test_dhat_squared_zero_on_quotient():
                 if dot(pair.deg, key[1]) < p}
 
     for gv in range(4):
-        for elt in v_basis(pair, "dhat", gv, n_cap=p - 1)[gv]:
+        for elt in dhat_piece(pair, gv, p - 1):
             acc = {}
             for elt2, v in quotient_column(elt).items():
                 for elt3, w in quotient_column(elt2).items():
@@ -311,8 +372,8 @@ def test_dhat_squared_zero_exact_p2(swap):
         if swap:
             pair, f, g = pair.swap(), g, f
         dhat = koszul._columns(f, g, hat=True)
-        for gv, basis in v_basis(pair, "dhat", 6, n_cap=3).items():
-            for elt in basis:
+        for gv in range(7):
+            for elt in dhat_piece(pair, gv, 3):
                 acc = {}
                 for elt2, v in dhat(elt).items():
                     for elt3, w in dhat(elt2).items():
@@ -324,7 +385,7 @@ def test_dhat_squared_zero_exact_p2(swap):
                                    square_pair])
 def test_cohomology_d_pruned_ranks_are_full_ranks(build):
     pair = build()
-    basis = v_basis(pair, "d", 6)
+    basis = v_basis(pair, 6)
     for seed in (1, 3):
         f = random_coefficients(pair, "f", seed=seed)
         g = random_coefficients(pair, "g", seed=seed + 1)
@@ -359,7 +420,7 @@ def test_cohomology_dhat_pruned_ranks_are_full_ranks(swap, monkeypatch):
     monkeypatch.undo()
 
     def basis(gv, cap):
-        return v_basis(pair, "dhat", gv, n_cap=cap)[gv]
+        return dhat_piece(pair, gv, cap)
 
     full = {}
     dhat = koszul._columns(f, g, hat=True)

@@ -7,12 +7,27 @@ import pytest
 from stringykit.errors import (DegeneratePolytope, NotFullDimensional,
                                NotGorenstein, NotPointed, UnboundedSlice)
 from stringykit.lattice import (FacePoset, cone_from_rays, cone_over_polytope,
-                                dot, dual_cone, dual_face,
+                                dot, dual_cone, dual_face, interior_points,
                                 make_gorenstein_pair, points_at_degree,
                                 primitive, span_coords, qrank)
 
 P2_TRIANGLE = [(1, 0), (0, 1), (-1, -1)]
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def corpus_pairs():
+    """The pairs of the four corpus jobs."""
+    return [make_gorenstein_pair(cone_from_rays([(1,)])),
+            make_gorenstein_pair(cone_over_polytope([(-1,), (1,)])),
+            make_gorenstein_pair(cone_over_polytope(P2_TRIANGLE)),
+            make_gorenstein_pair(cone_over_polytope(SQUARE))]
+
+
+def saturated_facets(face):
+    """The facets holding every ray of the face, recomputed by dot
+    products: every facet for the zero face."""
+    return frozenset(j for j, h in enumerate(face.cone.facet_normals)
+                     if all(dot(r, h) == 0 for r in face.rays))
 
 
 def brute_force_facets(rays):
@@ -194,6 +209,7 @@ def dense_scan_oracle(face, k, lam, interior_only=False):
     if face.dim == 0:
         pts = [(0,) * n] if k == 0 else []
         return pts
+    active = saturated_facets(face)
     bound = max(k * max(abs(x) for x in r) for r in face.rays) + 1
     out = []
     for x in product(range(-bound, bound + 1), repeat=n):
@@ -202,10 +218,10 @@ def dense_scan_oracle(face, k, lam, interior_only=False):
         vals = [dot(x, h) for h in face.cone.facet_normals]
         if any(v < 0 for v in vals):
             continue
-        if any(vals[j] != 0 for j in face.active):
+        if any(vals[j] != 0 for j in active):
             continue
         if interior_only and any(
-                vals[j] == 0 for j in range(len(vals)) if j not in face.active):
+                vals[j] == 0 for j in range(len(vals)) if j not in active):
             continue
         out.append(x)
     return out
@@ -216,8 +232,7 @@ def test_points_at_degree_triangle():
     top = pair.poset().top
     pts = points_at_degree(top, 1, pair.deg_dual)
     assert set(pts) == {(1, 0, 1), (0, 1, 1), (-1, -1, 1), (0, 0, 1)}
-    assert points_at_degree(top, 1, pair.deg_dual, interior_only=True) == \
-        [(0, 0, 1)]
+    assert interior_points(top, pts) == [(0, 0, 1)]
     # Ehrhart counts 1 + (1+t+t^2)/(1-t)^3 expansion: L(1)=4, L(2)=10
     assert len(points_at_degree(top, 2, pair.deg_dual)) == 10
 
@@ -227,21 +242,42 @@ def test_points_at_degree_against_dense_scan():
     lam = pair.deg_dual
     for face in pair.poset():
         for k in range(4):
-            for interior in (False, True):
-                got = points_at_degree(face, k, lam, interior)
-                assert sorted(got) == sorted(
-                    dense_scan_oracle(face, k, lam, interior))
+            got = points_at_degree(face, k, lam)
+            assert sorted(got) == sorted(dense_scan_oracle(face, k, lam))
+            assert sorted(interior_points(face, got)) == sorted(
+                dense_scan_oracle(face, k, lam, interior_only=True))
 
 
 def test_points_at_degree_zero():
     pair = make_gorenstein_pair(cone_over_polytope(P2_TRIANGLE))
     top = pair.poset().top
     assert points_at_degree(top, 0, pair.deg_dual) == [(0, 0, 0)]
-    assert points_at_degree(top, 0, pair.deg_dual, interior_only=True) == []
+    assert interior_points(top, [(0, 0, 0)]) == []
     zero = pair.poset().zero
     assert points_at_degree(zero, 0, pair.deg_dual) == [(0, 0, 0)]
-    assert points_at_degree(zero, 0, pair.deg_dual, interior_only=True) == \
-        [(0, 0, 0)]
+    assert interior_points(zero, [(0, 0, 0)]) == [(0, 0, 0)]
+
+
+def test_interior_points_against_dense_scan():
+    """The interior filter of a level equals the scan of the relative
+    interior, on every face of both cones of the corpus pairs, at each
+    degree k <= dim + 2 that a hat model reads."""
+    for pair in corpus_pairs():
+        for poset, lam in ((pair.poset(), pair.deg_dual),
+                           (pair.dual_poset(), pair.deg)):
+            for face in poset:
+                for k in range(face.dim + 3):
+                    level = points_at_degree(face, k, lam)
+                    assert interior_points(face, level) == \
+                        dense_scan_oracle(face, k, lam, interior_only=True), \
+                        (face, k)
+
+
+def test_face_active_is_the_saturated_facets():
+    for pair in corpus_pairs():
+        for poset in (pair.poset(), pair.dual_poset()):
+            for face in poset:
+                assert face.active == saturated_facets(face), face
 
 
 def test_unbounded_slice():

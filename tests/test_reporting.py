@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 from stringykit.errors import ParseError
-from stringykit.reporting import (cohomology_table, inspect_pair,
-                                  parse_input, render_report, run)
+from stringykit.reporting import (VERIFICATION_NAMES, cohomology_table,
+                                  inspect_pair, parse_input, render_report,
+                                  run)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -68,6 +69,23 @@ def test_parse_errors():
                 {"rays": [[1, 0], [0, 1]], "g": [[[False, 1], 1]]}):
         with pytest.raises(ParseError):
             parse_input(doc)
+
+
+def test_repeated_verification_name_rejected(tmp_path):
+    doc = json.loads((CORPUS / "segment.json").read_text())
+    with pytest.raises(ParseError) as err:
+        parse_input(dict(doc, verify=["bhiso", "bhiso"]))
+    assert err.value.location == "verify"
+    # "all" next to other names still expands to all six
+    assert parse_input(dict(doc, verify=["all", "bhiso"])).verify == \
+        VERIFICATION_NAMES
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(dict(doc, verify=["bhiso", "bhiso"])))
+    proc = _cli("report", str(job))
+    assert proc.returncode == 2
+    payload = json.loads(proc.stdout)
+    assert payload["error"]["type"] == "ParseError"
+    assert "verify" in payload["error"]["message"]
 
 
 def test_coefficient_point_outside_delta():

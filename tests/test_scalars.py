@@ -4,8 +4,8 @@ fractions are Fractions, and no value is ever a float."""
 from fractions import Fraction
 from random import Random
 
-from stringykit.jacobian import random_coefficients
-from stringykit.koszul import _columns, v_basis
+from stringykit.jacobian import coefficient_function, random_coefficients
+from stringykit.koszul import _columns, _dhat_piece, _levels, v_basis
 from stringykit.lattice import cone_over_polytope, make_gorenstein_pair
 from stringykit.linalg import Echelon, kernel_basis, rational
 from stringykit.sheaves import BigradedComplex, FanSpace, MinimalSheaf
@@ -41,8 +41,12 @@ def test_random_coefficients_are_int():
         for side, seed in (("f", 1), ("g", 2)):
             fn = random_coefficients(pair, side, seed)
             assert _types(v for _, v in fn.values) == {int}
-            assert _types(v for _, v in fn.scaled(3).values) == {int}
-            assert _types(v for _, v in fn.scaled(Fraction(1, 2)).values) \
+
+            def scaled(c):
+                return coefficient_function(
+                    pair, side, {p: c * v for p, v in fn.values}).values
+            assert _types(v for _, v in scaled(3)) == {int}
+            assert _types(v for _, v in scaled(Fraction(1, 2))) \
                 <= {int, Fraction}
 
 
@@ -52,11 +56,12 @@ def test_segment_koszul_columns_are_int():
     g = random_coefficients(pair, "g", 2)
     seen = set()
     d, dhat = _columns(f, g), _columns(f, g, hat=True)
-    for elems in v_basis(pair, "d", 4).values():
+    for elems in v_basis(pair, 4).values():
         for e in elems:
             seen |= _types(d(e).values())
-    for elems in v_basis(pair, "dhat", 4, n_cap=3).values():
-        for e in elems:
+    levels = _levels(pair)
+    for gv in range(5):
+        for e in _dhat_piece(levels, pair.rank, gv, 3):
             seen |= _types(dhat(e).values())
     assert seen == {int}
 
@@ -69,7 +74,7 @@ def test_segment_sheaf_columns_are_int():
         seen = set()
         for s in range(4):
             for gr in cx.gr_values(s):
-                for col in cx.d_columns(gr, s):
+                for col in map(cx.d_column, cx.block_basis(gr, s)):
                     seen |= _types(col.values())
         assert seen <= {int}, origin
 
