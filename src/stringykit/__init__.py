@@ -8,7 +8,7 @@ desk-scale examples, entirely in rational arithmetic.
 """
 
 from .gkz import connection_data, connection_on_hb, curvature_report
-from .gpoly import g_polynomial, ih_dims
+from .gpoly import g_polynomial
 from .jacobian import (CoefficientFunction, Context, coefficient_function,
                        log_derivative_elements, random_coefficients)
 from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
@@ -26,7 +26,7 @@ __all__ = [
     "cohomology_dhat", "cone_from_rays", "cone_over_polytope",
     "connection_data", "connection_on_hb", "curvature_report",
     "decomposition_dims", "dual_cone", "dual_face", "g_polynomial",
-    "hb_assemble", "ih_dims", "log_derivative_elements",
+    "hb_assemble", "log_derivative_elements",
     "make_gorenstein_pair", "points_at_degree", "random_coefficients",
     "v_basis", "verify_prop_maincoro", "verify_theorem_key",
 ]

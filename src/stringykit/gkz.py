@@ -163,7 +163,7 @@ def connection_on_hb(ctx):
     outside the face do not enter the block's matrices at all."""
     blocks = {}
     for theta in ctx.pair.poset():
-        if not ctx.r1(theta, ctx.f).total():
+        if not ctx.r1(theta, ctx.f):
             continue
         sigma = dual_face(ctx.pair, theta)
         if sigma.key() in blocks:

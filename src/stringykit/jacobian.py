@@ -6,12 +6,14 @@ Ring elements are sparse dicts keyed by lattice points.  One class,
 is the hat model without its deformation term.  Its echelon basis gives
 dimensions and canonical representatives in one computation; a graded
 model proves its top levels zero without rows (see ``HatModel``).  R1
-filters its interior points from the levels the model enumerated.
+filters its interior points from the levels the model enumerated, and
+its graded dimensions, like every graded dimension here, are a plain
+{degree: dim} dict with no zero values.
 
 A ``Context`` is the one way to a per-face object: its methods
 ``quotient``, ``r1``, ``face_is_nondegenerate``, ``is_nondegenerate``,
 ``hat_model``, ``r1_hat`` and ``certify`` build graded quotients, R1
-spaces, certified hat models and certificates once per job, and ``fan``
+dims, certified hat models and certificates once per job, and ``fan``
 and ``sheaf_cohomology`` the job's fan and the cohomology of each of
 its minimal sheaves.  A caller without a job builds a throwaway
 ``Context()``; ``is_nondegenerate`` and ``certify`` need a pair, whose
@@ -21,6 +23,7 @@ face posets they read.
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import DegenerateCoefficients, StabilizationFailed
 from .lattice import (dot, interior_points, padd, points_at_degree,
@@ -122,38 +125,13 @@ def log_derivative_elements(face, f):
     return out
 
 
-@dataclass(frozen=True)
-class R1Space:
-    """Graded dimensions of the interior image."""
-    dims: tuple          # sorted ((degree, dim), ...)
-
-    @classmethod
-    def from_levels(cls, data):
-        """From the per-level monomial lists of interior_level_data."""
-        return cls(tuple((k, len(v)) for k, v in data))
-
-    def dims_dict(self):
-        return {k: d for k, d in self.dims if d}
-
-    def total(self):
-        return sum(d for _, d in self.dims)
-
-
 def _hilbert_numerator(counts, d):
     """Coefficients of (1-t)^d * sum_k counts[k] t^k through the degree
-    of the last count."""
-    binom = [1]
-    for i in range(d):
-        binom = [a - b for a, b in zip(binom + [0], [0] + binom)]
-    # binom now holds (1-t)^d coefficients with signs
-    out = []
-    for k in range(len(counts)):
-        s = 0
-        for i, b in enumerate(binom):
-            if i <= k:
-                s += b * counts[k - i]
-        out.append(s)
-    return out
+    of the last count; (1-t)^d has the coefficient comb(d, i) (-1)^i at
+    t^i."""
+    return [sum(comb(d, i) * (-1) ** i * counts[k - i]
+                for i in range(min(d, k) + 1))
+            for k in range(len(counts))]
 
 
 def _hat_action_vec(face, weights, mu, vec):
@@ -350,6 +328,10 @@ class HatModel:
             self._level_data = out
         return self._level_data
 
+    def interior_dims(self):
+        """Nonzero dims of the interior image by level, {k: dim}."""
+        return {k: len(v) for k, v in self.interior_level_data() if v}
+
 
 class Context:
     """One job's state: the pair, its coefficient functions f and g, and
@@ -403,11 +385,13 @@ class Context:
             face, f, face.dim + 2, deformed=False))
 
     def r1(self, face, f):
-        """Image of the interior part in the quotient, degree by degree."""
-        got = self._get(("r1", face, f), lambda: R1Space.from_levels(
-            self.quotient(face, f).interior_level_data()))
+        """Nonzero dims of the image of the interior part in the quotient,
+        {degree: dim}: a copy of the memo's entry, so a caller that
+        changes it changes no later answer."""
+        got = self._get(("r1", face, f),
+                        lambda: self.quotient(face, f).interior_dims())
         self._memo.pop(("quotient", face, f), None)
-        return got
+        return dict(got)
 
     def face_is_nondegenerate(self, face, f):
         """Artinian certificate on one face: the quotient vanishes in
@@ -438,11 +422,10 @@ class Context:
         R1 (per filtration level) at truncations dim+2 and dim+1; the
         model at dim+1 is the one its build passed (``HatModel.lower``)."""
         def build():
-            oracle = self.r1(face, g).dims_dict()
+            oracle = self.r1(face, g)
             model = HatModel(face, g, face.dim + 2)
             for m in (model, model.lower()):
-                level_dims = {k: len(v)
-                              for k, v in m.interior_level_data() if v}
+                level_dims = m.interior_dims()
                 if level_dims != oracle:
                     raise StabilizationFailed(
                         "hat dims %r at truncation %d do not match graded "
@@ -468,9 +451,9 @@ class Context:
         return {k: d for k, d in got[1].items() if k[1] < D}
 
     def r1_hat(self, face, g):
-        """Filtered interior image in the certified hat model."""
-        return R1Space.from_levels(
-            self.hat_model(face, g).interior_level_data())
+        """Nonzero dims of the filtered interior image in the certified
+        hat model, {level: dim}, built fresh on every call."""
+        return self.hat_model(face, g).interior_dims()
 
     def certify(self, f, g):
         """Raise DegenerateCoefficients unless f and g pass the

@@ -202,8 +202,8 @@ def decomposition_dims(ctx):
     """Face-by-face convolution of R1 dims: the decomposition side of the
     plain double Koszul cohomology."""
     def summand(theta, sigma):
-        rf = ctx.r1(theta, ctx.f).dims_dict()
-        rg = ctx.r1(sigma, ctx.g).dims_dict()
+        rf = ctx.r1(theta, ctx.f)
+        rg = ctx.r1(sigma, ctx.g)
         conv = {}
         for i, di in rf.items():
             for j, dj in rg.items():
@@ -264,10 +264,10 @@ def hb_assemble(ctx):
     R1(f, theta)_i tensor R1hat(g, theta*) lands in grading
     2 i + dim theta*.  R1-hat is read only where R1(f, theta) != 0."""
     def summand(theta, sigma):
-        rf = ctx.r1(theta, ctx.f).dims_dict()
+        rf = ctx.r1(theta, ctx.f)
         if not rf:
             return {}
-        hat_total = ctx.r1_hat(sigma, ctx.g).total()
+        hat_total = sum(ctx.r1_hat(sigma, ctx.g).values())
         return {2 * i + sigma.dim: di * hat_total
                 for i, di in rf.items() if hat_total}
     return _face_sum(ctx, summand)

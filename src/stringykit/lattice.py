@@ -329,10 +329,6 @@ class FacePoset:
     def interval(self, a, b):
         return [x for x in self.faces if self.leq(a, x) and self.leq(x, b)]
 
-    def is_eulerian(self):
-        """Every interval of length >= 1 has equal even and odd rank counts."""
-        return interval_is_eulerian(self, self.zero, self.top)
-
 
 def interval_is_eulerian(poset, bottom, top):
     """Every subinterval [a, b] of [bottom, top] with a < b has equal even

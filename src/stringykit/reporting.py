@@ -7,7 +7,7 @@ clock timings are added only on request since they would break report
 determinism.
 
 A job runs in one ``jacobian.Context``: the pair, the certified f and g,
-every per-face quotient, R1 space and certified hat model, the fan and
+every per-face quotient, R1 dims and certified hat model, the fan and
 the cohomology of each minimal sheaf on it.  Every verifier reads it, or
 its ``swap()`` for the A side; none builds twice.
 """
@@ -114,6 +114,8 @@ def _parse_side(doc, name, default_seed):
         point = tuple(item[0])
         if not all(_is_int(x) for x in point):
             raise ParseError("point coordinates must be integers", loc)
+        if point in mapping:
+            raise ParseError("repeated point %s" % list(point), loc)
         mapping[point] = _parse_rational(item[1], loc)
     return ("explicit", mapping)
 
@@ -140,6 +142,8 @@ def parse_input(doc, default_seed=0):
         raise ParseError("expected a nonempty list of integer vectors", kind)
     if len(set(len(row) for row in data)) != 1:
         raise ParseError("vectors of mixed length", kind)
+    if kind == "rays" and not all(any(row) for row in data):
+        raise ParseError("a ray must be nonzero", kind)
     verify = doc.get("verify", list(VERIFICATION_NAMES))
     if isinstance(verify, str):
         verify = [verify]
@@ -278,9 +282,9 @@ def _verify_bhiso(ctx, job):
     verdict = "pass"
     for side, label in ((ctx, "dual"), (ctx.swap(), "primal")):
         for sigma in side.pair.dual_poset():
-            graded = side.r1(sigma, side.g).dims_dict()
+            graded = side.r1(sigma, side.g)
             try:
-                hat = side.r1_hat(sigma, side.g).dims_dict()
+                hat = side.r1_hat(sigma, side.g)
                 ok = hat == graded
             except StringyKitError:
                 hat = None
@@ -428,7 +432,7 @@ def hilbert_tables(job):
 def r1_tables(job):
     def row(ctx, face, fn):
         return {"dim": face.dim,
-                "r1_dims": _dims_table(ctx.r1(face, fn).dims_dict())}
+                "r1_dims": _dims_table(ctx.r1(face, fn))}
     return _face_tables(job, row)
 
 

@@ -24,6 +24,9 @@ table per bidegree (``_action_table``).
 A FanSpace builds its own face posets.  The verifiers take a
 ``jacobian.Context`` (``Context()`` without a job) and read the fan and
 each sheaf's cohomology through it; this module never imports jacobian.
+Nor does it import gpoly: the generator bidegrees over a cell are
+predicted by the product of the g-polynomials of its two faces, an
+oracle the tests hold.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,6 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import TruncationTooSmall
-from .gpoly import ih_dims
 from .koszul import _slots
 from .lattice import FacePoset, annihilator_face, dual_cone, span_coords
 from .linalg import Complex, Echelon, _add, kernel_basis
@@ -393,19 +395,6 @@ class MinimalSheaf:
             comp = {i - off: v for i, v in vec.items() if off <= i < off + d}
             if comp:
                 out[cellobj] = comp
-        return out
-
-    # -- oracle helper --------------------------------------------------
-
-    def generator_bidegrees_expected(self, cell):
-        """Product of the two g-polynomials of the intervals below the
-        cell's faces: the Bressler-Lunts/IH prediction for gen degrees."""
-        gx = ih_dims(self.fan.poset, cell.theta).absolute_dict()
-        gy = ih_dims(self.fan.dual_poset, cell.sigma).absolute_dict()
-        out = {}
-        for p, cp in gx.items():
-            for q, cq in gy.items():
-                out[(p, q)] = out.get((p, q), 0) + cp * cq
         return out
 
 

@@ -164,7 +164,10 @@ def test_swapped_context_shares_the_memo():
     assert ctx.swap().pair == pair.swap()
     assert (ctx.swap().f, ctx.swap().g) == (g, f)
     top = pair.poset().top
-    assert ctx.swap().r1(top, ctx.f) is ctx.r1(top, ctx.f)
+    got = ctx.swap().r1(top, ctx.f)
+    entry = ctx._memo[("r1", top, ctx.f)]
+    assert ctx.r1(top, ctx.f) == got == entry
+    assert ctx._memo[("r1", top, ctx.f)] is entry
 
 
 def test_ha_is_hb_of_the_swapped_context():
@@ -207,14 +210,40 @@ def test_context_memo_returns_one_object_per_key():
     top = pair.dual_poset().top
     # the quotient certified with g is the one r1 reads
     assert ctx.quotient(top, g) is ctx.quotient(top, g)
-    assert ctx.r1(top, g) is ctx.r1(top, g)
+    # r1 hands out a copy of its one memo entry
+    got = ctx.r1(top, g)
+    entry = ctx._memo[("r1", top, g)]
+    assert ctx.r1(top, g) == got == entry and got is not entry
+    assert ctx._memo[("r1", top, g)] is entry
     # r1_hat has no memo entry of its own: it reads the memoized model
     assert ctx.hat_model(top, g) is ctx.hat_model(top, g)
     assert ctx.r1_hat(top, g) == ctx.r1_hat(top, g)
     model = ctx.hat_model(top, g)
     assert model.interior_level_data() is model.interior_level_data()
     # a fresh context shares nothing
-    assert Context(pair).r1(top, g) is not ctx.r1(top, g)
+    fresh = Context(pair)
+    assert fresh.r1(top, g) == ctx.r1(top, g)
+    assert fresh._memo[("r1", top, g)] is not entry
+
+
+def test_r1_answers_are_the_callers_to_change():
+    """r1 and r1_hat hand out dicts a caller may change: asking again
+    gives the fresh answer, never the changed one."""
+    pair = make_gorenstein_pair(cone_over_polytope(P2))
+    ctx = Context(pair, random_coefficients(pair, "f", seed=1),
+                  random_coefficients(pair, "g", seed=2))
+    top, dual_top = pair.poset().top, pair.dual_poset().top
+    for ask in (lambda: ctx.r1(top, ctx.f),
+                lambda: ctx.r1(dual_top, ctx.g),
+                lambda: ctx.r1_hat(dual_top, ctx.g)):
+        answer = dict(ask())
+        assert answer
+        got = ask()
+        got[99] = 1
+        del got[min(answer)]
+        assert ask() == answer
+        got.clear()
+        assert ask() == answer
 
 
 def test_r1_drops_the_quotient_it_read():

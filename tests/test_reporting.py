@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from stringykit import cli
 from stringykit.errors import ParseError
 from stringykit.reporting import (VERIFICATION_NAMES, cohomology_table,
                                   inspect_pair, parse_input, render_report,
@@ -86,6 +87,35 @@ def test_repeated_verification_name_rejected(tmp_path):
     payload = json.loads(proc.stdout)
     assert payload["error"]["type"] == "ParseError"
     assert "verify" in payload["error"]["message"]
+
+
+def test_zero_ray_rejected_with_exit_2(tmp_path, capsys):
+    """A zero vector has no primitive ray: the job is an input error
+    (exit code 2) at ``rays``, not a failed verdict."""
+    with pytest.raises(ParseError) as err:
+        parse_input({"rays": [[0, 0], [1, 0], [0, 1]]})
+    assert err.value.location == "rays"
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps({"rays": [[0, 0], [1, 0], [0, 1]]}))
+    for argv in (["report", str(job)], ["inspect", str(job)]):
+        assert cli.main(argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "ParseError"
+        assert "(at rays)" in payload["error"]["message"]
+    # the origin is a vertex like any other
+    assert parse_input({"polytope_vertices": [[0], [1], [-1]]})
+
+
+@pytest.mark.parametrize("side", ["f", "g"])
+def test_repeated_coefficient_point_rejected(side):
+    values = [[[-1, 1], "1"], [[1, 1], "2"], [[-1, 1], "0"]]
+    with pytest.raises(ParseError) as err:
+        parse_input({"polytope_vertices": [[-1], [1]], side: values})
+    assert err.value.location == "%s[2]" % side
+    with pytest.raises(ParseError) as err:
+        parse_input({"polytope_vertices": [[-1], [1]],
+                     side: {"values": values[:1] * 2}})
+    assert err.value.location == "%s[1]" % side
 
 
 def test_coefficient_point_outside_delta():
