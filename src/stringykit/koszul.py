@@ -26,7 +26,9 @@ one step lower.  Stabilization over consecutive caps plus the
 R1/R1-hat assembly oracle certify the result.
 
 Both cohomologies are eliminated by ``linalg.Complex``, which prunes the
-columns of each piece by the pivots of the piece before it.
+columns of each piece by the pivots of the piece before it.  The column
+builder ``_columns`` reads an element's products from per-point tables,
+one per m and one per n, built once per cohomology.
 
 The job-level entry points take one ``jacobian.Context``, whose f and g
 were certified when it was made; the assemblies read R1 and R1-hat from
@@ -101,34 +103,42 @@ def _columns(f, g, hat=False):
     """d of one basis element at a time, d-hat when hat: the form
     sum_i (iota_i (x) A_i + eps_i ^ (x) B_i) of the module docstring.
 
-    The products of an element's (m1, n1) with the points of f and g
-    are found once and spread over its wedge S by the contraction and
-    wedge signs.  Products violating <m, n> = 0 are zero by the quotient
-    relation.  A piece's basis is sorted by (m, n, S), so the products of
-    the last (m1, n1) are the one entry kept: every repeat inside a piece
-    reads them, and no product outlives the pieces that read it.
+    The products of an element's (m1, n1) with the points of f and g are
+    read from per-point tables, each built once per builder and spread
+    over the element's wedge S by the contraction and wedge signs: per m1
+    the terms (m, f(m), m + m1) and the g-points n with <m1, n> = 0, per
+    n1 the terms (n, g(n), n + n1) and the f-points m with <m, n1> = 0.
+    A product violating <m + m1, n1> = 0 is zero by the quotient relation,
+    and for an element <m + m1, n1> = <m, n1>, so the n1 table says which
+    f-terms survive; likewise the m1 table for the g-terms.
     """
     fpts = [(m, f(m)) for m in f.domain() if f(m)]
     gpts = [(n, g(n)) for n in g.domain() if g(n)]
-    last = [None, None]
+
+    @lru_cache(maxsize=None)
+    def m_table(m1):
+        return ([(m, fm, padd(m, m1)) for m, fm in fpts],
+                [i for i, (n, _) in enumerate(gpts) if not dot(m1, n)])
+
+    @lru_cache(maxsize=None)
+    def n_table(n1):
+        return ([(n, gn, padd(n, n1)) for n, gn in gpts],
+                [i for i, (m, _) in enumerate(fpts) if not dot(m, n1)])
 
     def column(elt):
         m1, n1, S = elt
-        if last[0] != (m1, n1):
-            last[0] = (m1, n1)
-            last[1] = ([(m, fm, m2) for m, fm in fpts
-                        for m2 in (padd(m, m1),) if not dot(m2, n1)],
-                       [(n, gn, n2) for n, gn in gpts
-                        for n2 in (padd(n, n1),) if not dot(m1, n2)])
-        fprods, gprods = last[1]
+        fterms, g_orth = m_table(m1)
+        gterms, f_orth = n_table(n1)
         contract, wedge = _slots(S, len(m1))
         # the degree-one points are nonzero, so no two terms share a key
         col = {}
-        for m, fm, m2 in fprods:
+        for i in f_orth:
+            m, fm, m2 = fterms[i]
             for sign, j, S2 in contract:
                 if m[j]:
                     col[(m2, n1, S2)] = sign * m[j] * fm
-        for n, gn, n2 in gprods:
+        for i in g_orth:
+            n, gn, n2 = gterms[i]
             for sign, j, S2 in wedge:
                 if n[j]:
                     col[(m1, n2, S2)] = sign * n[j] * gn
@@ -170,9 +180,8 @@ def cohomology_d(ctx, D=6):
     for k in range(D):
         for e in basis[k]:
             pieces.setdefault((k, _tau_d(pair, e)), []).append(e)
-    cx = Complex(lambda k, tau: pieces.get((k, tau), ()),
-                 _columns(f, g),
-                 lambda k, tau: (k - 1, tau) if k else None)
+    cx = Complex(lambda k, tau: pieces.get((k, tau), ()), _columns(f, g),
+                 (1, 0))
     ranks = dict.fromkeys(range(D), 0)
     dims = dict.fromkeys(range(D), 0)
     for k, tau in pieces:
@@ -226,10 +235,9 @@ def cohomology_dhat(ctx, D=6, p_max=8):
     pair, f, g = ctx.pair, ctx.f, ctx.g
     levels = _levels(pair)
     # keyed (gv, cap): basis vectors of n-degree <= cap; d_hat raises the
-    # n-degree by at most one, so the pivots of (gv-1, cap-1) lie there
+    # n-degree by at most one, so it maps (gv, cap) into (gv+1, cap+1)
     cx = Complex(lambda gv, cap: _dhat_piece(levels, pair.rank, gv, cap),
-                 _columns(f, g, hat=True),
-                 lambda gv, cap: (gv - 1, cap - 1) if gv and cap else None)
+                 _columns(f, g, hat=True), (1, 1))
     dims = {}
     stop_at = {}
     flags = {}

@@ -322,10 +322,6 @@ class FacePoset:
     def leq(self, f, g):
         return f.active >= g.active
 
-    def meet(self, f, g):
-        rays = tuple(sorted(set(f.rays) & set(g.rays)))
-        return self.by_rays[rays]
-
     def interval(self, a, b):
         return [x for x in self.faces if self.leq(a, x) and self.leq(x, b)]
 

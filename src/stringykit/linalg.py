@@ -7,10 +7,12 @@ then eliminated over ``int`` by cross multiples (``_combine``) and kept
 primitive by dividing out its content.
 
 * ``exact_pivots`` -- the rank engine (``exact_rank`` counts its pivot
-  columns), with a cheap Markowitz-style pivot rule.
+  columns) over int-keyed rows, with a cheap Markowitz-style pivot rule.
 * ``Complex`` -- a cochain complex in pieces, each eliminated once by
   ``exact_pivots`` with the pivots of the piece before pruning its
-  columns; the engine of the Koszul and sheaf cohomologies.
+  columns; the engine of the Koszul and sheaf cohomologies.  It numbers
+  each piece's labels once, by their positions in the piece's sorted
+  basis, so its rows reach ``exact_pivots`` int-keyed, in label order.
 * ``Echelon`` -- an insertion echelon in reduced form.  Deterministic
   (smallest column wins), so every basis derived from it is canonical.
   A row is stored as a primitive integer row with a positive pivot
@@ -234,26 +236,25 @@ def kernel_basis(vectors):
 
 
 def exact_pivots(rows):
-    """Pivot columns, in elimination order, of the given sparse rows:
-    as many as their rank over Q, and the rows restricted to them have it.
+    """Pivot columns, in elimination order, of the given sparse rows over
+    int columns: as many as their rank over Q, and the rows restricted to
+    them have it.
 
     Fraction-free: rows are scaled to primitive integer rows, elimination
     uses cross multiples followed by content reduction.  Pivot rule: the
     column held by fewest rows, then the smallest such column, then the
-    sparsest row in it (Markowitz-lite).  The columns are renumbered to
-    ints in sorted label order, which the rule reads and keeps.
+    sparsest row in it (Markowitz-lite).  The rule reads only the order of
+    the columns, so an order-preserving renumbering moves the pivots with
+    it.
 
     While some column is held by one row, the rule picks the smallest
     such column and its one row, and nothing is eliminated: these steps
     are peeled off first, with no arithmetic, and only the rows left are
     scaled and go to the elimination loop.
     """
-    rows = list(rows)
-    labels = sorted({c for r in rows for c in r})
-    index = {c: i for i, c in enumerate(labels)}
     mat = {}
     for r in rows:
-        rr = {index[c]: v for c, v in r.items() if v}
+        rr = {c: v for c, v in r.items() if v}
         if rr:
             mat[len(mat)] = rr
     colrows = defaultdict(set)
@@ -309,7 +310,7 @@ def exact_pivots(rows):
                 buckets[len(colrows[cc])].add(cc)
             else:
                 del colrows[cc]
-    return [labels[c] for c in pivots]
+    return pivots
 
 
 def exact_rank(rows):
@@ -317,26 +318,38 @@ def exact_rank(rows):
     return len(exact_pivots(rows))
 
 
+class _Numbering(dict):
+    """Label -> column number; a label not yet numbered gets the next."""
+
+    def __missing__(self, label):
+        n = self[label] = len(self)
+        return n
+
+
 class Complex:
     """A cochain complex split into pieces, each eliminated once.
 
-    A piece has a key tuple.  ``basis(*key)`` lists its labels in column
-    order, ``column(label)`` is d of one label as a sparse dict over the
-    labels of the next piece, and ``prev(*key)`` is the key of the piece
-    whose d lands in this one, None for a first piece.  Each basis is
-    read once.
+    A piece has a key tuple.  ``basis(*key)`` lists its labels in sorted
+    order and ``column(label)`` is d of one label as a sparse dict over
+    the labels of the next piece, key + step; the piece before key is
+    key - step, and an empty piece ends the chain.  Each basis is read
+    once.  A piece's labels are numbered once, by their positions in its
+    basis, so ``exact_pivots`` eliminates int-keyed rows whose columns
+    keep the labels' order; labels of an empty piece (past the last one
+    enumerated) are numbered as first seen.
 
-    The pivots P of d on the prev piece get no column here.  The images
+    The pivots P of d on the piece before get no column here.  The images
     of that d restricted to P have full rank |P|, so each label in P is a
     boundary minus a combination of labels outside P; as d o d = 0, its d
-    lies in the span of the d of those labels.  So ``pivots(*key)`` has as
-    many labels as the rank of d on the piece, and the images restricted
-    to them have full rank, as the next piece's pruning needs; the
-    cohomology ``dim(*key)`` is |basis| - rank out - rank in.
+    lies in the span of the d of those labels.  So ``pivots(*key)``, the
+    numbers of labels of the next piece, has as many as the rank of d on
+    the piece, and the images restricted to them have full rank, as the
+    next piece's pruning needs; the cohomology ``dim(*key)`` is
+    |basis| - rank out - rank in.
     """
 
-    def __init__(self, basis, column, prev):
-        self._basis_of, self._column, self._prev = basis, column, prev
+    def __init__(self, basis, column, step):
+        self._basis_of, self._column, self._step = basis, column, step
         self._bases = {}
         self._pivots = {}
 
@@ -346,22 +359,32 @@ class Complex:
             got = self._bases[key] = self._basis_of(*key)
         return got
 
-    def _pivots_in(self, key):
-        prev = self._prev(*key)
-        return set() if prev is None else self.pivots(*prev)
+    def _along(self, key, sign):
+        """The key sign steps from key: 1 the next piece, -1 the one before."""
+        return tuple(k + sign * s for k, s in zip(key, self._step))
 
     def pivots(self, *key):
-        """The pivot labels of d on the piece, as many as its rank."""
+        """The pivots of d on the piece, as many as its rank: numbers of
+        the next piece's labels."""
         got = self._pivots.get(key)
         if got is None:
-            drop = self._pivots_in(key)
-            got = self._pivots[key] = set(exact_pivots(
-                [self._column(e) for e in self.basis(*key) if e not in drop]))
+            basis = self.basis(*key)
+            if basis:
+                drop = self.pivots(*self._along(key, -1))
+                nxt = self.basis(*self._along(key, 1))
+                index = _Numbering(zip(nxt, range(len(nxt))))
+                column = self._column
+                got = set(exact_pivots(
+                    [{index[e2]: v for e2, v in column(e).items()}
+                     for i, e in enumerate(basis) if i not in drop]))
+            else:
+                got = set()
+            self._pivots[key] = got
         return got
 
     def dim(self, *key):
         """Dimension of the cohomology at the piece."""
         h = (len(self.basis(*key)) - len(self.pivots(*key))
-             - len(self._pivots_in(key)))
+             - len(self.pivots(*self._along(key, -1))))
         assert h >= 0
         return h

@@ -13,6 +13,7 @@ its ``swap()`` for the A side; none builds twice.
 """
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,6 +168,8 @@ def parse_input(doc, default_seed=0):
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ParseError("output must be a path string", "output")
+    if output and not os.path.isdir(os.path.dirname(output) or "."):
+        raise ParseError("the output directory does not exist", "output")
     return JobSpec(
         cone_kind=kind,
         cone_data=tuple(tuple(row) for row in data),

@@ -15,7 +15,10 @@ positive-degree multiples.  Everything is stored bigraded by
 degreewise exact below the truncation.  BigradedComplex(sheaf) is the one
 object for W tensor Lambda* N: it holds W in each bidegree as the one
 Echelon that ``kernel_basis`` returns for the agreement constraints over
-the maximal cells.  d checks each image against those constraints, whose
+the maximal cells.  A compatible family, over a cell's boundary as over
+the maximal cells, is asked to agree across walls only, a wall being a
+facet of two cells of the list (``agreement``), so every restriction is
+to a facet.  d checks each image against those constraints, whose
 kernel W is, and reads its coordinates at the echelon's pivot columns.
 Its d has the X tensor Lambda* N form stated in the ``koszul`` module
 docstring; ``d_column`` reads the actions of m_i and n_i on W from one
@@ -113,10 +116,6 @@ class FanSpace:
     def leq(self, c1, c2):
         return (self.poset.leq(c1.theta, c2.theta)
                 and self.dual_poset.leq(c1.sigma, c2.sigma))
-
-    def meet(self, c1, c2):
-        return self.cell(self.poset.meet(c1.theta, c2.theta),
-                         self.dual_poset.meet(c1.sigma, c2.sigma))
 
 
 @lru_cache(maxsize=None)
@@ -224,36 +223,15 @@ class MinimalSheaf:
 
     # -- restriction matrices ----------------------------------------
 
-    def restr_cols(self, cell, face_cell, a, b):
-        """Columns of the restriction map L(cell) -> L(face_cell) at (a,b)."""
-        key = (cell, face_cell, a, b)
+    def restr_cols(self, cell, facet, a, b):
+        """Columns of the restriction map L(cell) -> L(facet) at (a, b), to
+        a facet of the cell in the support."""
+        key = (cell, facet, a, b)
         got = self._restr_cache.get(key)
-        if got is not None:
-            return got
-        basis, _ = self.basis_at(cell, a, b)
-        if face_cell not in self.support:
-            cols = [dict() for _ in basis]
-        elif face_cell is cell:
-            cols = [{i: 1} for i in range(len(basis))]
-        else:
-            mid = next((f for f in self.fan.facets[cell]
-                        if f in self.support and self.fan.leq(face_cell, f)),
-                       None)
-            if mid is None:
-                raise ValueError("no support facet between cells")
-            if mid is face_cell:
-                cols = self._restr_to_facet(cell, mid, a, b)
-            else:
-                second = self.restr_cols(mid, face_cell, a, b)
-                cols = []
-                for col in self.restr_cols(cell, mid, a, b):
-                    acc = {}
-                    for l, v in col.items():
-                        for t, w in second[l].items():
-                            _add(acc, t, v * w)
-                    cols.append(acc)
-        self._restr_cache[key] = cols
-        return cols
+        if got is None:
+            got = self._restr_cache[key] = self._restr_to_facet(
+                cell, facet, a, b)
+        return got
 
     def _restr_to_facet(self, cell, facet, a, b):
         """Restriction columns to a support facet.  A generator's column is
@@ -294,33 +272,40 @@ class MinimalSheaf:
         return layout, off
 
     def agreement(self, cells, a, b):
-        """(layout, columns) of the pairwise-agreement constraints over the
-        cells: column k holds the constraints' entries at layout index k,
-        so the compatible families over the cells are the kernel of this
-        matrix, which ``kernel_basis`` returns."""
+        """(layout, columns) of the agreement constraints over the cells:
+        column k holds the constraints' entries at layout index k, so the
+        compatible families over the cells are the kernel of this matrix,
+        which ``kernel_basis`` returns.
+
+        Two sections agree across each wall, a facet of two of the cells.
+        That is enough: two cells meeting in tau are joined through tau by
+        a chain of the cells, consecutive ones sharing a wall (the face
+        interval is connected by covers, the facets of a cell by ridges),
+        and a restriction to tau factors through the wall.  ValueError
+        when a wall is held by more than two cells."""
         layout, total = self.section_layout(cells, a, b)
+        held = {}
+        for entry in layout:
+            for wall in self.fan.facets[entry[0]]:
+                held.setdefault(wall, []).append(entry)
         columns = [dict() for _ in range(total)]
         rowkey = 0
-        for i1 in range(len(cells)):
-            for i2 in range(i1 + 1, len(cells)):
-                c1, off1, d1 = layout[i1]
-                c2, off2, d2 = layout[i2]
-                if d1 == 0 and d2 == 0:
-                    continue
-                m = self.fan.meet(c1, c2)
-                dm = self.dim_at(m, a, b)
-                if dm == 0:
-                    continue
-                cols1 = self.restr_cols(c1, m, a, b)
-                cols2 = self.restr_cols(c2, m, a, b)
-                for l in range(d1):
-                    for t, v in cols1[l].items():
-                        columns[off1 + l][rowkey + t] = v
-                for l in range(d2):
-                    for t, v in cols2[l].items():
-                        columns[off2 + l][rowkey + t] = \
-                            columns[off2 + l].get(rowkey + t, 0) - v
-                rowkey += dm
+        for wall, sides in held.items():
+            if len(sides) > 2:
+                raise ValueError("a wall held by more than two cells")
+            if len(sides) < 2:
+                continue
+            (c1, off1, d1), (c2, off2, d2) = sides
+            dw = self.dim_at(wall, a, b)
+            if dw == 0 or d1 == d2 == 0:
+                continue
+            for l, col in enumerate(self.restr_cols(c1, wall, a, b)):
+                for t, v in col.items():
+                    columns[off1 + l][rowkey + t] = v
+            for l, col in enumerate(self.restr_cols(c2, wall, a, b)):
+                for t, v in col.items():
+                    columns[off2 + l][rowkey + t] = -v
+            rowkey += dw
         return layout, columns
 
     def gamma_boundary(self, cell, a, b):
@@ -437,13 +422,15 @@ class BigradedComplex:
         (side 1).  ValueError when an image leaves W."""
         got = self._actions.get((a, b))
         if got is None:
+            basis = self.space(a, b)[1].basis_rows()
             got = self._actions[(a, b)] = tuple(
-                tuple(self._action_rows(side, i, a, b) for i in range(self.r))
+                tuple(self._action_rows(side, i, a, b, basis)
+                      for i in range(self.r))
                 for side in (0, 1))
         return got
 
-    def _action_rows(self, side, i, a, b):
-        layout, ech = self.space(a, b)
+    def _action_rows(self, side, i, a, b, basis):
+        layout = self.space(a, b)[0]
         ta, tb = a + 1 - side, b + side
         tgt_layout, tgt = self.space(ta, tb)
         columns, pivots = self._constraints[(ta, tb)], tgt.pivot_columns()
@@ -453,7 +440,7 @@ class BigradedComplex:
             return tuple((k, bv[i]) for k, bv in enumerate(sb) if bv[i])
         act = self.sheaf.act(side, fn, layout, tgt_layout, a, b)
         rows = []
-        for row in ech.basis_rows():
+        for row in basis:
             out = act(row)
             check = {}
             get = check.get
@@ -502,8 +489,7 @@ class BigradedComplex:
         not kept: an engine held here would close a reference cycle
         through its bound methods and keep the sheaf alive until the
         cyclic collector ran."""
-        return Complex(self.block_basis, self.d_column,
-                       lambda gr, s: (gr, s - 1) if s else None)
+        return Complex(self.block_basis, self.d_column, (0, 1))
 
     def gr_values(self, s):
         lo = -s

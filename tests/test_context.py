@@ -4,6 +4,7 @@ in one process keeps no dead objects alive."""
 
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -81,6 +82,9 @@ def test_jobs_in_one_process_match_separate_processes(tmp_path):
              "g": "random:seed=%d" % seed} for seed in (2, 7)]
     in_process = [render_report(run(parse_input(doc))[0]) for doc in docs]
     assert in_process[0] != in_process[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for doc, expected in zip(docs, in_process):
         job_path = tmp_path / "job.json"
         out_path = tmp_path / "report.json"
@@ -88,7 +92,7 @@ def test_jobs_in_one_process_match_separate_processes(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "stringykit.cli", "report",
              str(job_path), "--output", str(out_path)],
-            capture_output=True, text=True, cwd=str(ROOT))
+            capture_output=True, text=True, cwd=str(ROOT), env=env)
         assert proc.returncode == 0, proc.stderr
         assert out_path.read_text() == expected
 

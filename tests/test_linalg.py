@@ -46,6 +46,14 @@ def random_rows(rng):
     return rows, ncols
 
 
+def labelled_rank(rows):
+    """exact_rank of sparse rows keyed by any sortable labels, numbered in
+    sorted order."""
+    number = {c: i for i, c in enumerate(sorted({c for r in rows
+                                                 for c in r}))}
+    return exact_rank([{number[c]: v for c, v in r.items()} for r in rows])
+
+
 def test_exact_rank_random_against_dense():
     rng = Random(7)
     for trial in range(25):
@@ -108,12 +116,11 @@ def test_exact_pivots_buckets_keep_the_full_scan_rule():
                  for v in (rng.randint(-3, 3),) if v}
                 for _ in range(nrows)]
         assert exact_pivots(rows) == full_scan_pivots(rows), trial
-        # tuple labels, as the complexes give: an order-preserving relabel
-        # moves the pivots with it
+        # columns with gaps, as a complex numbers the labels of a piece
+        # (its basis positions, then the labels first seen): an
+        # order-preserving renumbering moves the pivots with it
         lrng = Random(trial)
-        labels = sorted({(lrng.randint(-2, 2), (lrng.randint(0, 3),) *
-                          lrng.randint(0, 2), lrng.randint(0, 99))
-                         for _ in range(3 * ncols)})[:ncols]
+        labels = sorted(lrng.sample(range(-40, 4 * ncols), ncols))
         trows = [{labels[j]: v for j, v in r.items()} for r in rows]
         assert exact_pivots(trows) == full_scan_pivots(trows) == \
             [labels[j] for j in full_scan_pivots(rows)], trial
@@ -183,16 +190,24 @@ def test_complex_against_dense():
                 image = [sum(c * d[k][i][j] for i, c in enumerate(col))
                          for j in range(len(d[k][0]))]
                 assert not any(image), (trial, k)
-        cx = Complex(lambda k: [(k, i) for i in range(ndims[k])],
+        cx = Complex(lambda k: [(k, i) for i in range(ndims[k])]
+                     if 0 <= k < len(ndims) else [],
                      lambda e: {(e[0] + 1, j): v
                                 for j, v in sparse[e[0]][e[1]].items()},
-                     lambda k: (k - 1,) if k else None)
+                     (1,))
         rank = [dense_rank(rows, len(dk[0])) for rows, dk in zip(sparse, d)]
-        # piece 0 has no prev, the next piece of the last one is empty
+        # the pieces before the first and after the last are empty
         assert rank[-1] == 0
         for k, n in enumerate(ndims):
             assert len(cx.pivots(k)) == rank[k], (trial, k)
             assert cx.dim(k) == (n - rank[k]) - (rank[k - 1] if k else 0)
+        # the last piece left unenumerated: its labels are numbered as
+        # the columns of the piece before first name them
+        cut = Complex(lambda k: [(k, i) for i in range(ndims[k])]
+                      if 0 <= k < 3 else [], cx._column, (1,))
+        for k in range(3):
+            assert len(cut.pivots(k)) == rank[k], (trial, k)
+            assert cut.dim(k) == cx.dim(k), (trial, k)
 
 
 def test_echelon_reduce_canonical():

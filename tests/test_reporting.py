@@ -106,6 +106,30 @@ def test_zero_ray_rejected_with_exit_2(tmp_path, capsys):
     assert parse_input({"polytope_vertices": [[0], [1], [-1]]})
 
 
+def test_missing_output_directory_rejected_before_work(tmp_path, capsys,
+                                                      monkeypatch):
+    """An output path in a directory that does not exist is an input error
+    (exit code 2) at ``output``, found before any work is done."""
+    def no_work(job):
+        raise AssertionError("the job ran")
+    monkeypatch.setattr(cli, "run", no_work)
+    monkeypatch.setattr(cli, "inspect_pair", no_work)
+    out = str(tmp_path / "missing" / "out.json")
+    job = str(CORPUS / "segment.json")
+    for argv in (["report", job, "--output", out],
+                 ["inspect", job, "--output", out]):
+        assert cli.main(argv) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "ParseError"
+        assert "(at output)" in payload["error"]["message"]
+    assert not (tmp_path / "missing").exists()
+    # the document's own key takes the same check
+    with pytest.raises(ParseError) as err:
+        parse_input({"rays": [[1]], "output": out})
+    assert err.value.location == "output"
+    assert parse_input({"rays": [[1]], "output": "out.json"}).output
+
+
 @pytest.mark.parametrize("side", ["f", "g"])
 def test_repeated_coefficient_point_rejected(side):
     values = [[[-1, 1], "1"], [[1, 1], "2"], [[-1, 1], "0"]]
@@ -185,7 +209,10 @@ def test_cohomology_table_dhat():
 
 
 def _cli(*argv):
+    """The CLI in a child process, importing the package from src/."""
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(CORPUS.parent / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stringykit.cli", *argv],
         capture_output=True, text=True, env=env,

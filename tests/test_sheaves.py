@@ -11,6 +11,7 @@ from stringykit.linalg import Echelon, vec_add
 from stringykit.sheaves import (BigradedComplex, Cell, FanSpace,
                                 MinimalSheaf, annihilator_face,
                                 verify_prop_maincoro, verify_theorem_key)
+from test_linalg import labelled_rank
 
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
 P2 = [(1, 0), (0, 1), (-1, -1)]
@@ -37,6 +38,15 @@ def test_fan_cells_ray():
     assert len(fan.maximal) == 2
 
 
+def meet(fan, c1, c2):
+    """The fan's cell on the meets of the two sides: the faces on the
+    rays the two have in common."""
+    return fan.cell(*(poset.by_rays[tuple(sorted(set(f1.rays) & set(f2.rays)))]
+                      for poset, f1, f2 in ((fan.poset, c1.theta, c2.theta),
+                                            (fan.dual_poset, c1.sigma,
+                                             c2.sigma))))
+
+
 def test_fan_cells_are_canonical():
     for fan in (quadrant_fan(), FanSpace(cone_over_polytope(SQUARE)),
                 FanSpace(cone_over_polytope(P2))):
@@ -49,7 +59,7 @@ def test_fan_cells_are_canonical():
                 assert f.dim == c.dim - 1
                 assert fan.leq(f, c)
             for c2 in fan.cells:
-                assert fan.meet(c, c2) in cells
+                assert meet(fan, c, c2) in cells
 
 
 def test_minimal_sheaf_rejects_non_cell_origin():
@@ -348,6 +358,98 @@ def test_restrictions_match_the_from_scratch_oracle(poly):
     assert checked > 1000 and raised > 500
 
 
+def oracle_restr(sheaf, cell, face, a, b):
+    """Restriction columns from a cell to any cell below it: the identity
+    at the cell itself, zero outside the support, else through a support
+    facet above the face, one facet at a time."""
+    n = sheaf.dim_at(cell, a, b)
+    if face is cell:
+        return [{i: 1} for i in range(n)]
+    if face not in sheaf.support:
+        return [{} for _ in range(n)]
+    mid = next(f for f in sheaf.fan.facets[cell]
+               if f in sheaf.support and sheaf.fan.leq(face, f))
+    second = oracle_restr(sheaf, mid, face, a, b)
+    cols = []
+    for col in sheaf.restr_cols(cell, mid, a, b):
+        acc = {}
+        for l, v in col.items():
+            for t, w in second[l].items():
+                acc[t] = acc.get(t, 0) + v * w
+        cols.append({t: v for t, v in acc.items() if v})
+    return cols
+
+
+def all_pairs_agreement(sheaf, cells, a, b):
+    """The agreement columns of every pair of the cells on their meet."""
+    layout, total = sheaf.section_layout(cells, a, b)
+    columns = [{} for _ in range(total)]
+    rowkey = 0
+    for i, (c1, off1, _) in enumerate(layout):
+        for c2, off2, _ in layout[i + 1:]:
+            m = meet(sheaf.fan, c1, c2)
+            for c, off, sign in ((c1, off1, 1), (c2, off2, -1)):
+                for l, col in enumerate(oracle_restr(sheaf, c, m, a, b)):
+                    for t, v in col.items():
+                        columns[off + l][rowkey + t] = sign * v
+            rowkey += sheaf.dim_at(m, a, b)
+    return layout, columns
+
+
+WALL_CONES = {
+    "ray": cone_from_rays([(1,)]),
+    "segment": cone_over_polytope([(-1,), (1,)]),
+    "p2": cone_over_polytope(P2),
+    "square": cone_over_polytope(SQUARE),
+    "polar_p2": cone_over_polytope([(-1, -1), (2, -1), (-1, 2)]),
+    "polar_square": cone_over_polytope([(-1, -1), (1, -1), (1, 1),
+                                        (-1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WALL_CONES))
+def test_walls_give_the_all_pairs_sections(name):
+    """Agreement across walls has the kernel of agreement on every pair's
+    meet, for the boundary of every cell and for the maximal cells, at
+    every origin and every bidegree a + b <= D; every facet of a maximal
+    cell, and every ridge of a cell, is a wall of exactly two."""
+    from stringykit.linalg import kernel_basis
+    fan = FanSpace(WALL_CONES[name])
+    D = 4
+    for cells in [fan.maximal] + [fan.facets[c] for c in fan.cells]:
+        held = {}
+        for c in cells:
+            for wall in fan.facets[c]:
+                held[wall] = held.get(wall, 0) + 1
+        assert set(held.values()) <= {2}, cells
+    checked = 0
+    for origin in fan.cells:
+        sheaf = MinimalSheaf(fan, origin, D)
+        lists = [[f for f in fan.facets[c] if f in sheaf.support]
+                 for c in fan.cells if c in sheaf.support]
+        lists.append([c for c in fan.maximal if c in sheaf.support])
+        for cells in lists:
+            for s in range(D + 1):
+                for a in range(s + 1):
+                    layout, walls = sheaf.agreement(cells, a, s - a)
+                    want_layout, pairs = all_pairs_agreement(
+                        sheaf, cells, a, s - a)
+                    assert layout == want_layout
+                    assert kernel_basis(walls).basis_rows() == \
+                        kernel_basis(pairs).basis_rows(), \
+                        (origin, cells, a, s - a)
+                    checked += bool(walls)
+    assert checked > 20
+
+
+def test_agreement_rejects_a_wall_of_three_cells():
+    fan = FanSpace(cone_over_polytope(P2))
+    sheaf = MinimalSheaf(fan, fan.zero_cell(), 2)
+    # the zero cell is a facet of each of the six rays
+    with pytest.raises(ValueError):
+        sheaf.agreement([c for c in fan.cells if c.dim == 1], 0, 0)
+
+
 class FullInsertSheaf(MinimalSheaf):
     """The build that inserts every image and every gamma vector."""
 
@@ -450,7 +552,6 @@ def test_actions_reduce_no_vector(monkeypatch):
 
 @pytest.mark.parametrize("poly", [SQUARE, P2], ids=["square", "p2"])
 def test_block_pivots_keep_the_full_rank(poly):
-    from stringykit.linalg import exact_rank
     fan = FanSpace(cone_over_polytope(poly))
     for origin in fan.cells:
         cx = BigradedComplex(MinimalSheaf(fan, origin, 5))
@@ -458,7 +559,7 @@ def test_block_pivots_keep_the_full_rank(poly):
         for s in range(5):
             for gr in cx.gr_values(s):
                 cols = list(map(cx.d_column, cx.block_basis(gr, s)))
-                assert len(engine.pivots(gr, s)) == exact_rank(cols), \
+                assert len(engine.pivots(gr, s)) == labelled_rank(cols), \
                     (origin, gr, s)
 
 
