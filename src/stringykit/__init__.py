@@ -7,7 +7,7 @@ connection matrices) and verifies the structural theorems about them on
 desk-scale examples, entirely in rational arithmetic.
 """
 
-from .gkz import connection_data, connection_on_hb, curvature_report
+from .gkz import connection_on_hb, curvature_report
 from .gpoly import g_polynomial
 from .jacobian import (CoefficientFunction, Context, coefficient_function,
                        log_derivative_elements, random_coefficients)
@@ -16,7 +16,7 @@ from .koszul import (cohomology_d, cohomology_dhat, decomposition_dims,
 from .lattice import (Cone, Face, FacePoset, GorensteinPair, cone_from_rays,
                       cone_over_polytope, dual_cone, dual_face,
                       make_gorenstein_pair, points_at_degree)
-from .sheaves import FanSpace, verify_prop_maincoro, verify_theorem_key
+from .sheaves import FanSpace
 
 __version__ = "0.1.0"
 
@@ -24,9 +24,8 @@ __all__ = [
     "CoefficientFunction", "Cone", "Context", "Face", "FacePoset", "FanSpace",
     "GorensteinPair", "coefficient_function", "cohomology_d",
     "cohomology_dhat", "cone_from_rays", "cone_over_polytope",
-    "connection_data", "connection_on_hb", "curvature_report",
-    "decomposition_dims", "dual_cone", "dual_face", "g_polynomial",
-    "hb_assemble", "log_derivative_elements",
-    "make_gorenstein_pair", "points_at_degree", "random_coefficients",
-    "v_basis", "verify_prop_maincoro", "verify_theorem_key",
+    "connection_on_hb", "curvature_report", "decomposition_dims",
+    "dual_cone", "dual_face", "g_polynomial", "hb_assemble",
+    "log_derivative_elements", "make_gorenstein_pair", "points_at_degree",
+    "random_coefficients", "v_basis",
 ]

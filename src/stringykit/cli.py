@@ -81,8 +81,11 @@ def _load_job(args, verify_override=None, timings=False):
 def _emit(payload, job):
     text = render_report(payload)
     if job.output:
-        with open(job.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(job.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ParseError("cannot write the output: %s" % exc, "output")
     else:
         sys.stdout.write(text)
 

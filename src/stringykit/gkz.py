@@ -12,18 +12,17 @@ commute.  Derivatives are exact rationals taken from the reduction
 itself (``HatModel.row_derivatives``), never from the identity they are
 checked against.
 
-A block is a ``ConnectionData``, read from one hat model.
-``connection_data(sigma, g0)`` certifies g0 on every face of sigma
-(``Context.face_is_nondegenerate``) and builds the block from
-``Context.hat_model``; ``connection_on_hb(ctx)`` takes the models and
+A block is a ``ConnectionData``, read from one certified hat model
+(``Context.hat_model``).  ``connection_on_hb(ctx)`` takes the models and
 R1 from the job's ``jacobian.Context``, whose f and g were certified
 when it was made, so a job builds each one once.
-``curvature_report(block)`` checks the identity on a block.
+``curvature_report(block)`` evaluates the identity on a block; the
+verdict is written by ``reporting``.
 """
 
-from .errors import DegenerateCoefficients, TruncationTooSmall
-from .jacobian import Context, _delta_in_face
-from .lattice import FacePoset, dot, dual_face, padd
+from .errors import TruncationTooSmall
+from .jacobian import _delta_in_face
+from .lattice import dot, dual_face, padd
 from .linalg import vec_add
 
 
@@ -97,19 +96,6 @@ class ConnectionData:
                     d_cols.append(self._coordinates(vec))
                 deriv[(n, n2)] = _transpose(d_cols)
         return deriv
-
-
-def connection_data(sigma, g0):
-    """The block of one face at g0, after certifying g0 on every face
-    of sigma; raises DegenerateCoefficients when g0 fails."""
-    ctx = Context()
-    poset = FacePoset(sigma.cone)
-    for sub in poset:
-        if poset.leq(sub, sigma) and not ctx.face_is_nondegenerate(sub, g0):
-            raise DegenerateCoefficients(
-                "coefficients degenerate on a face of dimension %d"
-                % sub.dim)
-    return ConnectionData(ctx.hat_model(sigma, g0))
 
 
 def _mat_sub(a, b):

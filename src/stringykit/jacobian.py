@@ -15,9 +15,10 @@ A ``Context`` is the one way to a per-face object: its methods
 ``hat_model``, ``r1_hat`` and ``certify`` build graded quotients, R1
 dims, certified hat models and certificates once per job, and ``fan``
 and ``sheaf_cohomology`` the job's fan and the cohomology of each of
-its minimal sheaves.  A caller without a job builds a throwaway
-``Context()``; ``is_nondegenerate`` and ``certify`` need a pair, whose
-face posets they read.
+its minimal sheaves.  Every one returns plain dims or objects; the
+verdicts on them are decided in ``reporting``.  A caller without a job,
+such as a test, builds a throwaway ``Context()``; ``is_nondegenerate``
+and ``certify`` need a pair, whose face posets they read.
 """
 
 import random

@@ -32,8 +32,10 @@ one per m and one per n, built once per cohomology.
 
 The job-level entry points take one ``jacobian.Context``, whose f and g
 were certified when it was made; the assemblies read R1 and R1-hat from
-it (``Context.r1``, ``Context.r1_hat``).  The complex primitives
-(``v_basis`` and ``_columns``) take explicit data and certify nothing.
+it (``Context.r1``, ``Context.r1_hat``).  Both sides return plain
+dims: ``reporting`` compares them and writes the verdict.  The complex
+primitives (``v_basis`` and ``_columns``) take explicit data and certify
+nothing.
 A cohomology enumerates each level set of the two top faces once
 (``_levels``): the pieces of d (``v_basis``) and of d-hat
 (``_dhat_piece``) are read off those levels.
@@ -192,24 +194,18 @@ def cohomology_d(ctx, D=6):
 
 
 def _face_sum(ctx, summand):
-    """Sum over the faces theta of the pair of summand(theta, theta*), a
-    {grading: dim} dict; faces with an empty summand are left out."""
-    per_face = []
+    """The {grading: dim} sum over the faces theta of the pair of
+    summand(theta, theta*), itself a {grading: dim} dict."""
     total = {}
     for theta in ctx.pair.poset():
-        conv = summand(theta, dual_face(ctx.pair, theta))
-        if not conv:
-            continue
-        per_face.append({"theta_dim": theta.dim, "theta": list(theta.key()),
-                         "dims": conv})
-        for k, d in conv.items():
+        for k, d in summand(theta, dual_face(ctx.pair, theta)).items():
             total[k] = total.get(k, 0) + d
-    return {"per_face": per_face, "total": total}
+    return total
 
 
 def decomposition_dims(ctx):
-    """Face-by-face convolution of R1 dims: the decomposition side of the
-    plain double Koszul cohomology."""
+    """Face-by-face convolution of R1 dims, {grading: dim}: the
+    decomposition side of the plain double Koszul cohomology."""
     def summand(theta, sigma):
         rf = ctx.r1(theta, ctx.f)
         rg = ctx.r1(sigma, ctx.g)
@@ -268,9 +264,10 @@ def cohomology_dhat(ctx, D=6, p_max=8):
 
 
 def hb_assemble(ctx):
-    """Assembly of the deformed cohomology from faces: each graded piece
-    R1(f, theta)_i tensor R1hat(g, theta*) lands in grading
-    2 i + dim theta*.  R1-hat is read only where R1(f, theta) != 0."""
+    """Assembly of the deformed cohomology from faces, {grading: dim}:
+    each graded piece R1(f, theta)_i tensor R1hat(g, theta*) lands in
+    grading 2 i + dim theta*.  R1-hat is read only where
+    R1(f, theta) != 0."""
     def summand(theta, sigma):
         rf = ctx.r1(theta, ctx.f)
         if not rf:

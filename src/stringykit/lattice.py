@@ -139,9 +139,6 @@ class Cone:
     facet_normals: tuple
     ambient_rank: int
 
-    def contains(self, point):
-        return all(dot(point, h) >= 0 for h in self.facet_normals)
-
 
 def _simplicial_seed(rays, n):
     """Greedy choice of n linearly independent rays; None if rank < n."""

@@ -238,7 +238,8 @@ def kernel_basis(vectors):
 def exact_pivots(rows):
     """Pivot columns, in elimination order, of the given sparse rows over
     int columns: as many as their rank over Q, and the rows restricted to
-    them have it.
+    them have it.  The rows hold no zero entry; an empty row is skipped.
+    They are read, never changed.
 
     Fraction-free: rows are scaled to primitive integer rows, elimination
     uses cross multiples followed by content reduction.  Pivot rule: the
@@ -252,11 +253,7 @@ def exact_pivots(rows):
     are peeled off first, with no arithmetic, and only the rows left are
     scaled and go to the elimination loop.
     """
-    mat = {}
-    for r in rows:
-        rr = {c: v for c, v in r.items() if v}
-        if rr:
-            mat[len(mat)] = rr
+    mat = {i: r for i, r in enumerate(rows) if r}
     colrows = defaultdict(set)
     for i, r in mat.items():
         for c in r:

@@ -1,6 +1,6 @@
 """Minimal flabby locally free sheaves on fans of dual-face pairs, their
-global sections W, the contraction/wedge differential on W tensor the
-exterior algebra, and the vanishing/one-class verifiers.
+global sections W, and the contraction/wedge differential on W tensor
+the exterior algebra.
 
 The fan lives in M + N: cells are pairs (theta, sigma) of faces of the
 two dual cones with sigma inside the annihilator of theta.  A FanSpace
@@ -24,11 +24,12 @@ Its d has the X tensor Lambda* N form stated in the ``koszul`` module
 docstring; ``d_column`` reads the actions of m_i and n_i on W from one
 table per bidegree (``_action_table``).
 
-A FanSpace builds its own face posets.  The verifiers take a
-``jacobian.Context`` (``Context()`` without a job) and read the fan and
-each sheaf's cohomology through it; this module never imports jacobian.
-Nor does it import gpoly: the generator bidegrees over a cell are
-predicted by the product of the g-polynomials of its two faces, an
+A FanSpace builds its own face posets.  ``_nonzero_cohomology`` gives
+the cohomology of one sheaf as plain dims; ``jacobian.Context`` holds it
+once per job (``Context.fan``, ``Context.sheaf_cohomology``), and
+``reporting`` decides what the theorems assert about it.  This module
+imports neither jacobian nor gpoly: the generator bidegrees over a cell
+are predicted by the product of the g-polynomials of its two faces, an
 oracle the tests hold.
 """
 
@@ -514,47 +515,3 @@ def _nonzero_cohomology(fan, origin, D):
         raise TruncationTooSmall("no certified window below D=1")
     h = BigradedComplex(MinimalSheaf(fan, origin, D)).cohomology()
     return {k: d for k, d in h.items() if d}
-
-
-def verify_theorem_key(ctx, cone, D=6):
-    """Vanishing of H(W tensor Lambda*N, d) for the sheaf at the zero cell,
-    in every bidegree with deg_x + deg_y <= D - 1.  The fan and the
-    cohomology are the context's (``Context.fan``,
-    ``Context.sheaf_cohomology``)."""
-    if cone.ambient_rank == 0:
-        raise ValueError("rank must be positive")
-    fan = ctx.fan(cone)
-    nonzero = ctx.sheaf_cohomology(fan, fan.zero_cell(), D)
-    return {
-        "verdict": "pass" if not nonzero else "fail",
-        "window": {"max_total_degree": D - 1},
-        "violations": [{"gr": gr, "poly_degree": s, "dim": d}
-                       for (gr, s), d in sorted(nonzero.items())],
-    }
-
-
-def verify_prop_maincoro(ctx, fan, theta0, sigma0, D=6):
-    """Cohomology of the sheaf of the FanSpace fan originating at
-    (theta0, sigma0): zero when sigma0 is strictly below theta0*, one
-    class in Lambda-degree dim theta0* at bidegree (0,0) when
-    sigma0 = theta0*.  ValueError when (theta0, sigma0) is not a cell.
-    The cohomology is read as in ``verify_theorem_key``."""
-    nonzero = ctx.sheaf_cohomology(fan, fan.cell(theta0, sigma0), D)
-    tstar = annihilator_face(theta0, fan.dual_poset)
-    full = (sigma0.key() == tstar.key())
-    report = {"case": "sigma0 = theta0*" if full else "sigma0 < theta0*",
-              "nonzero": [{"gr": gr, "poly_degree": s, "dim": d}
-                          for (gr, s), d in sorted(nonzero.items())]}
-    if not full:
-        report["verdict"] = "pass" if not nonzero else "fail"
-        return report
-    # the class sits at bidegree (0,0), so its gr-value IS its
-    # Lambda-degree: dim theta0* = r - dim theta0 at every origin of the
-    # corpus fans.  The source derivation's estimate r/2 + (dim theta0 +
-    # dim sigma0)/2 is r when sigma0 = theta0*: it agrees only at the
-    # zero cell.
-    expected_lambda = tstar.dim
-    ok = nonzero == {(expected_lambda, 0): 1}
-    report["verdict"] = "pass" if ok else "fail"
-    report["computed_lambda_degree"] = expected_lambda if ok else None
-    return report

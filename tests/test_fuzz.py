@@ -72,7 +72,8 @@ def box_scan(cone, k, lam):
     n = cone.ambient_rank
     out = []
     for x in product(range(-bound, bound + 1), repeat=n):
-        if dot(x, lam) == k and cone.contains(x):
+        if dot(x, lam) == k and all(dot(x, h) >= 0
+                                    for h in cone.facet_normals):
             out.append(x)
     return out
 

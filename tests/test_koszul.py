@@ -13,7 +13,8 @@ from stringykit.jacobian import (Context, coefficient_function,
 from stringykit.koszul import (cohomology_d, cohomology_dhat,
                                decomposition_dims, hb_assemble, v_basis)
 from stringykit.lattice import (cone_from_rays, cone_over_polytope, dot,
-                                make_gorenstein_pair, points_at_degree)
+                                dual_face, make_gorenstein_pair,
+                                points_at_degree)
 from stringykit.linalg import exact_pivots
 from test_linalg import labelled_rank
 
@@ -279,7 +280,7 @@ def test_thm_main_p2_three_seeds():
         rep = cohomology_d(Context(pair, f, g), D=6)
         deco = decomposition_dims(Context(pair, f, g))
         for k in range(6):
-            assert rep.dims[k] == deco["total"].get(k, 0), (seed, k)
+            assert rep.dims[k] == deco.get(k, 0), (seed, k)
         assert sum(rep.dims.values()) == 4
 
 
@@ -291,27 +292,33 @@ def test_thm_main_segment_and_ray():
             rep = cohomology_d(Context(pair, f, g), D=5)
             deco = decomposition_dims(Context(pair, f, g))
             for k in range(5):
-                assert rep.dims[k] == deco["total"].get(k, 0)
+                assert rep.dims[k] == deco.get(k, 0)
 
 
 def test_decomposition_p2_split():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=4)
     g = random_coefficients(pair, "g", seed=5)
-    deco = decomposition_dims(Context(pair, f, g))
-    # contributions only from the zero face and the full cone, 2 each
-    by_dim = {rec["theta_dim"]: sum(rec["dims"].values())
-              for rec in deco["per_face"]}
+    ctx = Context(pair, f, g)
+    deco = decomposition_dims(ctx)
+    # contributions only from the zero face and the full cone, 2 each:
+    # the summand of theta has dim |R1(f, theta)| |R1(g, theta*)|
+    by_dim = {}
+    for theta in pair.poset():
+        size = (sum(ctx.r1(theta, f).values())
+                * sum(ctx.r1(dual_face(pair, theta), g).values()))
+        if size:
+            by_dim[theta.dim] = by_dim.get(theta.dim, 0) + size
     assert by_dim == {0: 2, 3: 2}
-    assert deco["total"] == {1: 2, 2: 2}
+    assert deco == {1: 2, 2: 2}
 
 
 def test_swap_symmetry():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=6)
     g = random_coefficients(pair, "g", seed=7)
-    a = decomposition_dims(Context(pair, f, g))["total"]
-    b = decomposition_dims(Context(pair.swap(), g, f))["total"]
+    a = decomposition_dims(Context(pair, f, g))
+    b = decomposition_dims(Context(pair.swap(), g, f))
     assert sum(a.values()) == sum(b.values())
     assert a == b
 
@@ -475,11 +482,15 @@ def test_hb_assemble_p2():
     pair = p2_pair()
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    hb = hb_assemble(Context(pair, f, g))
-    assert hb["total"] == {2: 1, 3: 2, 4: 1}
-    # the zero-face summand lands at grading r
-    zero_rec = next(r for r in hb["per_face"] if r["theta_dim"] == 0)
-    assert list(zero_rec["dims"]) == [pair.rank]
+    ctx = Context(pair, f, g)
+    hb = hb_assemble(ctx)
+    assert hb == {2: 1, 3: 2, 4: 1}
+    # the zero-face summand, R1(f, 0)_i tensor R1hat(g, 0*) in grading
+    # 2 i + dim 0*, lands at grading r
+    zero = pair.poset().zero
+    sigma = dual_face(pair, zero)
+    assert sum(ctx.r1_hat(sigma, g).values())
+    assert [2 * i + sigma.dim for i in ctx.r1(zero, f)] == [pair.rank]
 
 
 def test_hb_total_matches_decomposition_total():
@@ -488,7 +499,7 @@ def test_hb_total_matches_decomposition_total():
     g = random_coefficients(pair, "g", seed=4)
     hb = hb_assemble(Context(pair, f, g))
     deco = decomposition_dims(Context(pair, f, g))
-    assert sum(hb["total"].values()) == sum(deco["total"].values())
+    assert sum(hb.values()) == sum(deco.values())
 
 
 def test_maingkz_p2():
@@ -499,7 +510,7 @@ def test_maingkz_p2():
     assert not rep.flags
     got = {gv: d for gv, d in rep.dims.items() if d}
     assert got == {2: 1, 3: 2, 4: 1}
-    assert got == hb_assemble(Context(pair, f, g))["total"]
+    assert got == hb_assemble(Context(pair, f, g))
 
 
 def test_maingkz_segment():
@@ -509,7 +520,7 @@ def test_maingkz_segment():
     rep = cohomology_dhat(Context(pair, f, g), D=5, p_max=8)
     assert not rep.flags
     got = {gv: d for gv, d in rep.dims.items() if d}
-    assert got == hb_assemble(Context(pair, f, g))["total"]
+    assert got == hb_assemble(Context(pair, f, g))
 
 
 def test_index_two_cayley_pair_both_theorems():
@@ -522,13 +533,13 @@ def test_index_two_cayley_pair_both_theorems():
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
     deco = decomposition_dims(Context(pair, f, g))
-    assert deco["total"] == {2: 2}
+    assert deco == {2: 2}
     rep = cohomology_d(Context(pair, f, g), D=5)
     assert {k: v for k, v in rep.dims.items() if v} == {2: 2}
     hrep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
     assert not hrep.flags
     assert {k: v for k, v in hrep.dims.items() if v} == \
-        hb_assemble(Context(pair, f, g))["total"] == {4: 2}
+        hb_assemble(Context(pair, f, g)) == {4: 2}
 
 
 def test_ha_by_delegation():
@@ -540,7 +551,7 @@ def test_ha_by_delegation():
     assert not arep.flags
     got = {k: v for k, v in arep.dims.items() if v}
     # for this pair the A side mirrors the B side
-    assert got == hb_assemble(Context(pair.swap(), g, f))["total"] \
+    assert got == hb_assemble(Context(pair.swap(), g, f)) \
         == {2: 1, 3: 2, 4: 1}
     # and total dimension agrees with the B space
     brep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
@@ -555,10 +566,10 @@ def test_index_two_empty_intersection_is_zero():
     assert dot(pair.deg, pair.deg_dual) == 2
     f = random_coefficients(pair, "f", seed=1)
     g = random_coefficients(pair, "g", seed=2)
-    assert decomposition_dims(Context(pair, f, g))["total"] == {}
+    assert decomposition_dims(Context(pair, f, g)) == {}
     rep = cohomology_d(Context(pair, f, g), D=5)
     assert all(v == 0 for v in rep.dims.values())
     hrep = cohomology_dhat(Context(pair, f, g), D=2 * pair.rank, p_max=8)
     assert not hrep.flags
     assert all(v == 0 for v in hrep.dims.values())
-    assert hb_assemble(Context(pair, f, g))["total"] == {}
+    assert hb_assemble(Context(pair, f, g)) == {}

@@ -126,7 +126,7 @@ def test_exact_pivots_buckets_keep_the_full_scan_rule():
             [labels[j] for j in full_scan_pivots(rows)], trial
     # chains of columns held by one row (each pivot row frees the next
     # column), in front of a block that elimination must open up, with
-    # Fraction entries and empty or zero rows: the peel, the hand-over to
+    # Fraction entries and empty rows: the peel, the hand-over to
     # the elimination loop and that loop's own one-row columns all run
     for trial in range(60):
         ncols = rng.randint(4, 30)
@@ -143,9 +143,12 @@ def test_exact_pivots_buckets_keep_the_full_scan_rule():
                          for v in (rng.randint(-3, 3),) if v})
         rows += [{}, {0: 0}, {1: Fraction(0), 2: 0}][:rng.randint(0, 3)]
         rng.shuffle(rows)
-        # each row scaled to integers, zeros dropped: its pivots are the same
+        # exact_pivots takes rows with no zero entry: the zero rows come
+        # in empty
+        rows = [{j: v for j, v in r.items() if v} for r in rows]
+        # each row scaled to integers: its pivots are the same
         irows = [{j: v * lcm(*(Fraction(x).denominator for x in r.values()))
-                  for j, v in r.items() if v} for r in rows]
+                  for j, v in r.items()} for r in rows]
         assert exact_pivots(rows) == full_scan_pivots(
             [{j: int(v) for j, v in r.items()} for r in irows]), trial
 

@@ -10,6 +10,7 @@ import pytest
 
 from stringykit import cli
 from stringykit.errors import ParseError
+from stringykit.jacobian import Context
 from stringykit.reporting import (VERIFICATION_NAMES, cohomology_table,
                                   inspect_pair, parse_input, render_report,
                                   run)
@@ -108,13 +109,40 @@ def test_zero_ray_rejected_with_exit_2(tmp_path, capsys):
 
 def test_missing_output_directory_rejected_before_work(tmp_path, capsys,
                                                       monkeypatch):
-    """An output path in a directory that does not exist is an input error
-    (exit code 2) at ``output``, found before any work is done."""
+    """An output path in a directory that does not exist, or naming an
+    existing directory, is an input error (exit code 2) at ``output``,
+    found before any work is done."""
     def no_work(job):
         raise AssertionError("the job ran")
     monkeypatch.setattr(cli, "run", no_work)
     monkeypatch.setattr(cli, "inspect_pair", no_work)
-    out = str(tmp_path / "missing" / "out.json")
+    job = str(CORPUS / "segment.json")
+    for out in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+        for argv in (["report", job, "--output", out],
+                     ["inspect", job, "--output", out]):
+            assert cli.main(argv) == 2
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["error"]["type"] == "ParseError"
+            assert "(at output)" in payload["error"]["message"]
+        # the document's own key takes the same check
+        with pytest.raises(ParseError) as err:
+            parse_input({"rays": [[1]], "output": out})
+        assert err.value.location == "output"
+    assert list(tmp_path.iterdir()) == []
+    assert parse_input({"rays": [[1]], "output": "out.json"}).output
+
+
+def test_output_write_failure_exit_2(tmp_path, capsys, monkeypatch):
+    """Any other failure to write the output is reported as an input
+    error at ``output`` with exit code 2, not as a failed verdict."""
+    def failing_open(path, mode="r", **kwargs):
+        if "w" in mode:
+            raise OSError(28, "No space left on device")
+        return open(path, mode, **kwargs)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    monkeypatch.setattr(cli, "run", lambda job: ({"verdict": "pass"}, 0))
+    monkeypatch.setattr(cli, "inspect_pair", lambda job: {"pair": {}})
+    out = str(tmp_path / "out.json")
     job = str(CORPUS / "segment.json")
     for argv in (["report", job, "--output", out],
                  ["inspect", job, "--output", out]):
@@ -122,12 +150,7 @@ def test_missing_output_directory_rejected_before_work(tmp_path, capsys,
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["type"] == "ParseError"
         assert "(at output)" in payload["error"]["message"]
-    assert not (tmp_path / "missing").exists()
-    # the document's own key takes the same check
-    with pytest.raises(ParseError) as err:
-        parse_input({"rays": [[1]], "output": out})
-    assert err.value.location == "output"
-    assert parse_input({"rays": [[1]], "output": "out.json"}).output
+        assert payload["exit_code"] == 2
 
 
 @pytest.mark.parametrize("side", ["f", "g"])
@@ -270,6 +293,44 @@ def test_corrupted_expectation_detected():
     corrupted = text.replace('"pass"', '"fail"', 1)
     assert corrupted != text
     assert json.loads(corrupted) != json.loads(text)
+
+
+def test_sheaf_verdicts_fail_on_wrong_cohomology(monkeypatch):
+    """Negative control: the thm-key and prop-maincoro sections read the
+    sheaf cohomology they are given.  One class too many at the zero
+    cell, or one class too few where sigma0 = theta0*, makes them fail."""
+    job = parse_input({"polytope_vertices": [[-1], [1]],
+                       "verify": ["thm-key", "prop-maincoro"]})
+    report, code = run(job)
+    assert code == 0
+    sheaf_cohomology = Context.sheaf_cohomology
+
+    def extra_class(self, fan, origin, D):
+        got = sheaf_cohomology(self, fan, origin, D)
+        if origin is fan.zero_cell():
+            got[(0, 0)] = got.get((0, 0), 0) + 1
+        return got
+
+    monkeypatch.setattr(Context, "sheaf_cohomology", extra_class)
+    report, code = run(job)
+    section = report["verifications"]["thm-key"]
+    assert (section["verdict"], code) == ("fail", 1)
+    assert section["violations"] == [{"gr": 0, "poly_degree": 0, "dim": 1}]
+
+    def dropped_class(self, fan, origin, D):
+        got = sheaf_cohomology(self, fan, origin, D)
+        if origin in fan.maximal:
+            got = {}
+        return got
+
+    monkeypatch.setattr(Context, "sheaf_cohomology", dropped_class)
+    report, code = run(job)
+    assert code == 1
+    assert report["verifications"]["thm-key"]["verdict"] == "pass"
+    section = report["verifications"]["prop-maincoro"]
+    assert section["verdict"] == "fail"
+    assert {(c["case"], c["verdict"]) for c in section["cases"]} == \
+        {("sigma0 = theta0*", "fail"), ("sigma0 < theta0*", "pass")}
 
 
 def test_cli_cohomology_dhat():
